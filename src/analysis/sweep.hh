@@ -281,8 +281,7 @@ class SweepConfig
      * environment fallback applied, every knob explicit.  This is
      * the one place builder state meets the environment — run()
      * consumes the resolved spec, and fromSpec(resolve()).run() is
-     * bit-identical to run().  Replaces the seven ad-hoc
-     * resolved*() getters (kept below as deprecated wrappers).
+     * bit-identical to run().
      */
     SweepJobSpec resolve() const;
 
@@ -293,30 +292,6 @@ class SweepConfig
      * validate() the spec first and reject bad jobs gracefully.
      */
     static SweepConfig fromSpec(const SweepJobSpec &spec);
-
-    // Deprecated pre-SweepJobSpec accessors.  Each resolves the
-    // whole spec and projects one field; migrate to resolve().
-    [[deprecated("use resolve().threads")]]
-    unsigned resolvedThreads() const { return resolve().threads; }
-    [[deprecated("use resolve().retries")]]
-    unsigned resolvedRetries() const { return resolve().retries; }
-    [[deprecated("use resolve().backoffMs")]]
-    unsigned resolvedBackoffMs() const
-    {
-        return resolve().backoffMs;
-    }
-    [[deprecated("use resolve().cellTimeoutMs")]]
-    unsigned resolvedCellTimeoutMs() const
-    {
-        return resolve().cellTimeoutMs;
-    }
-    [[deprecated("use resolve().checkpoint")]]
-    std::string resolvedCheckpoint() const
-    {
-        return resolve().checkpoint;
-    }
-    [[deprecated("use resolve().resume")]]
-    bool resolvedResume() const { return resolve().resume; }
 
   private:
     std::vector<PolicySpec> specs_;

@@ -29,26 +29,35 @@ RripState::selectVictim(std::uint32_t set)
     auditSet(set, "RripState");
 
     std::uint8_t *row = &rrpv_[static_cast<std::size_t>(set) * ways_];
-    for (;;) {
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (row[w] == max_) {
-                if (auditActive()) {
-                    // Exactly-one-way selection: the victim is the
-                    // lowest-numbered way at max RRPV (Section 1).
-                    for (std::uint32_t lo = 0; lo < w; ++lo) {
-                        GLLC_AUDIT_CHECK(
-                            "RripState", "victim-tie-break",
-                            row[lo] != max_,
-                            "way %u at max rrpv below chosen victim "
-                            "way %u", lo, w);
-                    }
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (row[w] == max_) {
+            if (auditActive()) {
+                // Exactly-one-way selection: the victim is the
+                // lowest-numbered way at max RRPV (Section 1).
+                for (std::uint32_t lo = 0; lo < w; ++lo) {
+                    GLLC_AUDIT_CHECK(
+                        "RripState", "victim-tie-break",
+                        row[lo] != max_,
+                        "way %u at max rrpv below chosen victim "
+                        "way %u", lo, w);
                 }
-                return w;
             }
+            return w;
         }
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            ++row[w];
     }
+
+    // No way at max: unit-step aging would raise every way until the
+    // highest reaches max, so add that gap in one pass.  The victim
+    // is the lowest way that was at the top.
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        if (row[w] > row[victim])
+            victim = w;
+    }
+    const std::uint8_t gap = max_ - row[victim];
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        row[w] += gap;
+    return victim;
 }
 
 void

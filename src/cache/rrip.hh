@@ -39,7 +39,8 @@ class RripState
     /**
      * RRIP victim selection: first way at maxRrpv, aging all ways in
      * unit steps until one qualifies.  Ties break toward the minimum
-     * physical way id (Section 1).
+     * physical way id (Section 1).  The aging is applied in one
+     * pass, with the identical resulting victim and RRPVs.
      */
     std::uint32_t selectVictim(std::uint32_t set);
 

@@ -12,35 +12,46 @@
 namespace gllc
 {
 
-namespace
+namespace detail
 {
 
-/** -1 = undecided (read build flag / environment), 0 = off, 1 = on. */
 std::atomic<int> auditState{-1};
+
+bool
+resolveAuditActive()
+{
+#ifdef GLLC_AUDIT_BUILD
+    const int v = 1;
+#else
+    const int v = (envString("GLLC_AUDIT", "0") != "0") ? 1 : 0;
+#endif
+    // A setAuditActive() that raced ahead of us wins.
+    int expected = -1;
+    if (!auditState.compare_exchange_strong(expected, v,
+                                            std::memory_order_relaxed))
+        return expected != 0;
+    return v != 0;
+}
+
+} // namespace detail
+
+namespace
+{
 
 thread_local AuditContext auditCtx;
 
 } // namespace
 
-bool
-auditActive()
-{
-    int v = auditState.load(std::memory_order_relaxed);
-    if (v < 0) {
-#ifdef GLLC_AUDIT_BUILD
-        v = 1;
-#else
-        v = (envString("GLLC_AUDIT", "0") != "0") ? 1 : 0;
-#endif
-        auditState.store(v, std::memory_order_relaxed);
-    }
-    return v != 0;
-}
-
 void
 setAuditActive(bool active)
 {
-    auditState.store(active ? 1 : 0, std::memory_order_relaxed);
+    detail::auditState.store(active ? 1 : 0, std::memory_order_relaxed);
+}
+
+void
+resetAuditActive()
+{
+    detail::auditState.store(-1, std::memory_order_relaxed);
 }
 
 AuditContext &

@@ -27,20 +27,48 @@
 #ifndef GLLC_COMMON_AUDIT_HH
 #define GLLC_COMMON_AUDIT_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace gllc
 {
 
-/** True when the per-access invariant audit is enabled. */
-bool auditActive();
+namespace detail
+{
+
+/** -1 = undecided (read build flag / environment), 0 = off, 1 = on. */
+extern std::atomic<int> auditState;
+
+/** Decide an undecided auditState from the build flag and env. */
+bool resolveAuditActive();
+
+} // namespace detail
+
+/**
+ * True when the per-access invariant audit is enabled.  Inline: the
+ * policies ask on every access, so once decided this is one relaxed
+ * load; only the first call goes out of line to read the build flag
+ * and the environment.
+ */
+inline bool
+auditActive()
+{
+    const int v = detail::auditState.load(std::memory_order_relaxed);
+    return v < 0 ? detail::resolveAuditActive() : v != 0;
+}
 
 /**
  * Force auditing on or off for this process (tests).  Overrides both
  * the GLLC_AUDIT build option and the GLLC_AUDIT environment switch.
  */
 void setAuditActive(bool active);
+
+/**
+ * Drop any setAuditActive() override: the next auditActive() decides
+ * again from the build flag and the environment (tests).
+ */
+void resetAuditActive();
 
 /**
  * Where in the simulation the audit currently is.  The sweep engine

@@ -194,6 +194,8 @@ faultSiteName(FaultSite site)
         return "conn.drop";
       case FaultSite::DaemonCrash:
         return "daemon.crash";
+      case FaultSite::WorkerLinger:
+        return "worker.linger";
       case FaultSite::kCount:
         break;
     }

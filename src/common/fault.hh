@@ -31,6 +31,8 @@
  *                   mid-conversation
  *   daemon.crash    hard-exit the gllcd daemon mid-job (recovery
  *                   via --recover must complete the job)
+ *   worker.linger   make a gllcd sweep worker ignore stdin EOF
+ *                   (the daemon's bounded reap must SIGKILL it)
  *
  * Determinism: each draw hashes (site seed, draw index) — or a
  * caller-provided key for the keyed overload, which the sweep uses
@@ -66,6 +68,7 @@ enum class FaultSite : std::uint8_t
     ConnStall,
     ConnDrop,
     DaemonCrash,
+    WorkerLinger,
     kCount
 };
 

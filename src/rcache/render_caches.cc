@@ -170,4 +170,14 @@ RenderCacheComplex::rtStats() const
     return rt_.stats();
 }
 
+std::vector<const SmallCache *>
+RenderCacheComplex::caches() const
+{
+    std::vector<const SmallCache *> all{&vtxIndex_, &vertex_, &hiz_,
+                                        &z_, &stencil_, &rt_};
+    const std::vector<const SmallCache *> tex = tex_.caches();
+    all.insert(all.end(), tex.begin(), tex.end());
+    return all;
+}
+
 } // namespace gllc

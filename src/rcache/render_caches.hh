@@ -104,6 +104,9 @@ class RenderCacheComplex
     const SmallCacheStats &stencilStats() const;
     const SmallCacheStats &rtStats() const;
     const TextureHierarchy &texture() const { return tex_; }
+
+    /** Every cache in the complex, texture levels last, in a fixed order. */
+    std::vector<const SmallCache *> caches() const;
     /// @}
 
   private:

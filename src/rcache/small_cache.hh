@@ -9,6 +9,17 @@
  * streams.  Each resident block remembers the LLC stream tag it was
  * brought in with so writebacks are attributed correctly (the render
  * target cache holds both RT and displayable-color blocks).
+ *
+ * Layout: each set is kept in recency order, most recently used
+ * first, as a tag array plus a parallel 3-byte metadata array.
+ * Render-cache hits cluster at the MRU end, so the hit scan is
+ * short, and the LRU victim is simply the last position.  Only
+ * flush() invalidates, and it invalidates everything, so a set's
+ * invalid ways are always a suffix and a live count replaces valid
+ * bits.  Each block also remembers its physical way: a fill into a
+ * set that is not full takes way `live` (the lowest invalid way), a
+ * victim's way passes to the block replacing it, and flush() emits
+ * writebacks in physical-way order.
  */
 
 #ifndef GLLC_RCACHE_SMALL_CACHE_HH
@@ -39,7 +50,8 @@ class SmallCache
     /**
      * @param name for reporting
      * @param blocks total 64 B block frames (power of two)
-     * @param ways associativity (clamped to the block count)
+     * @param ways associativity (clamped to the block count; at
+     *        most 256)
      * @param write_allocate false for read-only caches (texture,
      *        vertex) that can never hold dirty data
      */
@@ -72,27 +84,26 @@ class SmallCache
     std::uint32_t sets() const { return sets_; }
 
   private:
-    struct Entry
+    /** Per-block state, parallel to the tag array. */
+    struct Meta
     {
-        Addr tag = 0;
-        std::uint64_t stamp = 0;
-        StreamType stream = StreamType::Other;
-        bool valid = false;
-        bool dirty = false;
+        std::uint8_t way;  ///< physical way (fixes flush order)
+        StreamType stream;
+        bool dirty;
     };
-
-    std::uint32_t setOf(Addr addr) const
-    {
-        return static_cast<std::uint32_t>(blockNumber(addr)
-                                          & (sets_ - 1));
-    }
+    static_assert(sizeof(Meta) == 3, "Meta must stay 3 bytes");
 
     std::string name_;
     std::uint32_t sets_;
     std::uint32_t ways_;
     bool writeAllocate_;
-    std::uint64_t clock_ = 0;
-    std::vector<Entry> entries_;
+    /// @name Per set, ways_ slots each, in recency order (MRU first)
+    /// @{
+    std::vector<Addr> tags_;
+    std::vector<Meta> meta_;
+    /// @}
+    /** Valid blocks per set: positions [0, live) of its slots. */
+    std::vector<std::uint16_t> live_;
     SmallCacheStats stats_;
 };
 

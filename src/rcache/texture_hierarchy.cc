@@ -84,4 +84,16 @@ TextureHierarchy::l2Stats(std::uint32_t cluster) const
     return l2_[cluster]->stats();
 }
 
+std::vector<const SmallCache *>
+TextureHierarchy::caches() const
+{
+    std::vector<const SmallCache *> all;
+    for (const auto &c : l1_)
+        all.push_back(c.get());
+    for (const auto &c : l2_)
+        all.push_back(c.get());
+    all.push_back(l3_.get());
+    return all;
+}
+
 } // namespace gllc

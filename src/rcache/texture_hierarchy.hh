@@ -56,6 +56,9 @@ class TextureHierarchy
     const SmallCacheStats &l3Stats() const { return l3_->stats(); }
     std::uint32_t samplers() const { return config_.samplers; }
 
+    /** Every level's caches: L1 by sampler, L2 by cluster, then L3. */
+    std::vector<const SmallCache *> caches() const;
+
   private:
     TextureHierarchyConfig config_;
     std::vector<std::unique_ptr<SmallCache>> l1_;

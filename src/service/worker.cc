@@ -14,6 +14,7 @@
 #include <optional>
 #include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -237,6 +238,61 @@ enum class RecvStatus
     Timeout  ///< no complete line within the deadline
 };
 
+/**
+ * How long a reap waits for a closed worker to exit before SIGKILL.
+ * A healthy worker exits on stdin EOF within milliseconds.
+ */
+constexpr int kReapDeadlineMs = 5000;
+
+/** How long a worker.linger worker ignores its stdin EOF. */
+constexpr int kLingerSeconds = 60;
+
+/**
+ * Wait up to @p timeout_ms for child @p pid to exit, leaving it
+ * unreaped; true once it has.  Polls a pidfd, so a prompt exit adds
+ * no sleep.
+ */
+bool
+awaitExit(pid_t pid, int timeout_ms)
+{
+    using clock = std::chrono::steady_clock;
+    const clock::time_point deadline =
+        clock::now() + std::chrono::milliseconds(timeout_ms);
+    const auto left_ms = [&] {
+        return static_cast<int>(std::max<long long>(
+            0, std::chrono::duration_cast<std::chrono::milliseconds>(
+                   deadline - clock::now())
+                   .count()));
+    };
+    const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (pidfd >= 0) {
+        pollfd pfd{};
+        pfd.fd = pidfd;
+        pfd.events = POLLIN;
+        int ready = 0;
+        do {
+            ready = ::poll(&pfd, 1, left_ms());
+        } while (ready < 0 && errno == EINTR);
+        ::close(pidfd);
+        return ready > 0;
+    }
+    // No pidfds (kernels before 5.3, or a seccomp filter that denies
+    // pidfd_open): poll the child's state instead.
+    for (;;) {
+        siginfo_t info{};
+        if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                     WEXITED | WNOHANG | WNOWAIT)
+                == 0
+            && info.si_pid == pid)
+            return true;
+        const int left = left_ms();
+        if (left == 0)
+            return false;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(std::min(left, 10)));
+    }
+}
+
 /** Describe how a reaped worker died. */
 std::string
 exitDescription(int status)
@@ -253,7 +309,11 @@ exitDescription(int status)
 class WorkerProcess
 {
   public:
-    WorkerProcess() = default;
+    /** @param telemetry reap-timeout events go here; may be null */
+    explicit WorkerProcess(const ShardTelemetry *telemetry)
+        : telemetry_(telemetry)
+    {
+    }
     ~WorkerProcess() { shutdown(); }
 
     WorkerProcess(const WorkerProcess &) = delete;
@@ -386,7 +446,11 @@ class WorkerProcess
             ::kill(pid_, SIGKILL);
     }
 
-    /** Close pipes and reap; returns the exit description. */
+    /**
+     * Close pipes and reap; returns the exit description.  A worker
+     * still running kReapDeadlineMs after its pipes close is
+     * SIGKILLed, so the reap is bounded.
+     */
     std::string
     shutdown()
     {
@@ -401,6 +465,15 @@ class WorkerProcess
         buffer_.clear();
         std::string how = "never ran";
         if (pid_ > 0) {
+            const auto start = std::chrono::steady_clock::now();
+            if (!awaitExit(pid_, kReapDeadlineMs)) {
+                ::kill(pid_, SIGKILL);
+                noteReapTimeout(
+                    std::chrono::duration_cast<
+                        std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+            }
             int status = 0;
             while (::waitpid(pid_, &status, 0) < 0
                    && errno == EINTR) {
@@ -412,6 +485,26 @@ class WorkerProcess
     }
 
   private:
+    void
+    noteReapTimeout(std::int64_t waited_ms) const
+    {
+        warn("gllcd worker %d still running %lld ms after its pipes "
+             "closed; killed",
+             static_cast<int>(pid_), static_cast<long long>(waited_ms));
+        if (metricsActive())
+            MetricsRegistry::instance().addCounter(
+                "gllcd.worker_reap_timeouts");
+        if (telemetry_ == nullptr || telemetry_->events == nullptr
+            || !telemetry_->events->active())
+            return;
+        ServiceEvent event("worker_reap_timeout");
+        event.num("job", static_cast<std::int64_t>(telemetry_->jobId))
+            .num("pid", pid_)
+            .num("waited_ms", waited_ms);
+        telemetry_->events->emit(event);
+    }
+
+    const ShardTelemetry *telemetry_;
     pid_t pid_ = -1;
     int writeFd_ = -1;
     int readFd_ = -1;
@@ -458,7 +551,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
 {
     const std::string exe = workerExecutable();
     const unsigned max_attempts = spec.retries + 1;
-    WorkerProcess proc;
+    WorkerProcess proc(telemetry);
 
     // Hand every fresh worker the job's trace context; each spawn
     // writes its own worker-<pid>.jsonl, so a crashed worker leaves
@@ -872,6 +965,12 @@ runSweepWorker()
         }
     }
     std::free(buf);
+
+    // worker.linger: stay up past the EOF, like a worker that never
+    // sees it because a stray copy of its stdin pipe is held open.
+    // The daemon's bounded reap must kill it.
+    if (faultFires(FaultSite::WorkerLinger))
+        std::this_thread::sleep_for(std::chrono::seconds(kLingerSeconds));
 
     // Flush this worker's spans where the daemon's stitcher expects
     // them, shifted onto the daemon's trace clock and stamped with

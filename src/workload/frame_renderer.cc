@@ -727,11 +727,15 @@ finalizeWork(FrameContext &ctx)
 FrameTrace
 renderFrame(const AppProfile &app, std::uint32_t frame_index,
             const RenderScale &scale,
-            const RenderCacheConfig &rc_config)
+            const RenderCacheConfig &rc_config,
+            const std::function<void(const RenderCacheComplex &)>
+                &inspect)
 {
     FrameContext ctx(app, frame_index, scale, rc_config);
     renderPasses(ctx);
     finalizeWork(ctx);
+    if (inspect)
+        inspect(ctx.rcc);
     return ctx.trace;
 }
 

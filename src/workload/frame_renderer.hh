@@ -25,6 +25,7 @@
 #define GLLC_WORKLOAD_FRAME_RENDERER_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "rcache/render_caches.hh"
 #include "trace/frame_trace.hh"
@@ -56,10 +57,13 @@ struct RenderScale
  * @param frame_index which captured frame (varies seed and camera)
  * @param scale machine/resolution scale
  * @param rc_config render caches to filter through (already scaled)
+ * @param inspect if set, sees the render caches once the frame is
+ *        done (tests read each cache's statistics)
  */
-FrameTrace renderFrame(const AppProfile &app, std::uint32_t frame_index,
-                       const RenderScale &scale,
-                       const RenderCacheConfig &rc_config);
+FrameTrace renderFrame(
+    const AppProfile &app, std::uint32_t frame_index,
+    const RenderScale &scale, const RenderCacheConfig &rc_config,
+    const std::function<void(const RenderCacheComplex &)> &inspect = {});
 
 /** renderFrame with render caches scaled to match @p scale. */
 FrameTrace renderFrame(const AppProfile &app, std::uint32_t frame_index,

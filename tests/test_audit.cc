@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "cache/banked_llc.hh"
@@ -21,6 +23,7 @@
 #include "cache/policy/ship_mem.hh"
 #include "cache/rrip.hh"
 #include "common/audit.hh"
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "core/gspc_family.hh"
 #include "core/stream_counters.hh"
@@ -91,6 +94,40 @@ TEST_F(AuditTest, SetAuditActiveToggles)
     EXPECT_FALSE(auditActive());
     setAuditActive(true);
     EXPECT_TRUE(auditActive());
+}
+
+TEST(AuditActivation, UndecidedStateResolvesFromTheEnvironment)
+{
+#ifdef GLLC_AUDIT_BUILD
+    constexpr bool kBuildAudits = true;
+#else
+    constexpr bool kBuildAudits = false;
+#endif
+    const std::string kUnset = "<unset>";
+    const std::string saved = envString("GLLC_AUDIT", kUnset);
+
+    ::setenv("GLLC_AUDIT", "1", 1);
+    resetAuditActive();
+    EXPECT_TRUE(auditActive());
+    // Decided: the fast path no longer reads the environment.
+    ::setenv("GLLC_AUDIT", "0", 1);
+    EXPECT_TRUE(auditActive());
+
+    // Undecided again: the first query reads it afresh.
+    resetAuditActive();
+    EXPECT_EQ(auditActive(), kBuildAudits);
+    ::setenv("GLLC_AUDIT", "1", 1);
+    EXPECT_EQ(auditActive(), kBuildAudits);
+
+    // An override beats both the environment and the build flag.
+    setAuditActive(false);
+    EXPECT_FALSE(auditActive());
+
+    if (saved != kUnset)
+        ::setenv("GLLC_AUDIT", saved.c_str(), 1);
+    else
+        ::unsetenv("GLLC_AUDIT");
+    resetAuditActive();
 }
 
 TEST_F(AuditTest, AuditScopeRestoresContext)

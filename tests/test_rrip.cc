@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "cache/rrip.hh"
 
 using namespace gllc;
@@ -17,6 +20,20 @@ MemAccess
 texAccess(Addr addr = 0)
 {
     return MemAccess(addr, StreamType::Texture, false);
+}
+
+/** RRIP victim selection by literal unit-step aging (Section 1). */
+std::uint32_t
+unitStepVictim(std::vector<std::uint8_t> &row, std::uint8_t max)
+{
+    for (;;) {
+        for (std::uint32_t w = 0; w < row.size(); ++w) {
+            if (row[w] == max)
+                return w;
+        }
+        for (std::uint8_t &v : row)
+            ++v;
+    }
 }
 
 } // namespace
@@ -87,6 +104,41 @@ TEST(Rrip, AgingMultipleSteps)
     EXPECT_EQ(r.selectVictim(0), 0u);
     EXPECT_EQ(r.get(0, 0), 3);
     EXPECT_EQ(r.get(0, 1), 3);
+}
+
+TEST(Rrip, OnePassAgingMatchesUnitStepsForWidthsOneToFour)
+{
+    std::mt19937 rng(20130907);
+    for (unsigned bits = 1; bits <= 4; ++bits) {
+        RripState r(bits);
+        const std::uint8_t max = r.maxRrpv();
+        for (std::uint32_t ways : {1u, 2u, 3u, 4u, 16u, 32u}) {
+            r.configure(2, ways);
+            for (int trial = 0; trial < 500; ++trial) {
+                // Values drawn up to max; most rows below it, so the
+                // aging path runs, some with max present.
+                const std::uint8_t hi = static_cast<std::uint8_t>(
+                    trial % 4 == 0 ? max : max - 1);
+                std::uniform_int_distribution<int> value(0, hi);
+                std::vector<std::uint8_t> row(ways);
+                for (std::uint32_t w = 0; w < ways; ++w) {
+                    row[w] = static_cast<std::uint8_t>(value(rng));
+                    r.set(1, w, row[w]);
+                    r.set(0, w, 0);
+                }
+                const std::uint32_t want = unitStepVictim(row, max);
+                ASSERT_EQ(r.selectVictim(1), want)
+                    << bits << "-bit, " << ways << " ways, trial "
+                    << trial;
+                for (std::uint32_t w = 0; w < ways; ++w) {
+                    ASSERT_EQ(r.get(1, w), row[w])
+                        << bits << "-bit, " << ways << " ways, trial "
+                        << trial << ", way " << w;
+                    ASSERT_EQ(r.get(0, w), 0);  // other set untouched
+                }
+            }
+        }
+    }
 }
 
 TEST(Rrip, SetsAreIndependent)

@@ -724,6 +724,61 @@ TEST_F(ServiceTest, EventLogRecordsLifecycleAndQuarantines)
     EXPECT_EQ(counts["cell_quarantined"], 2u);
 }
 
+TEST_F(ServiceTest, LingeringWorkerIsKilledAtTheReapDeadline)
+{
+    const SweepJobSpec spec = tinySpec();
+    const std::string expected = localPayload(spec);
+    const std::string events_path = tempPath("linger_events.jsonl");
+    DaemonOptions options;
+    options.workers = 1;
+    options.eventLogPath = events_path;
+    startDaemonWith(std::move(options));
+
+    // The worker answers every cell, then ignores its stdin EOF.
+    ::setenv("GLLC_FAULT", "worker.linger:p=1", 1);
+    ServiceClient client = connect();
+    const auto start = std::chrono::steady_clock::now();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    const auto elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ::unsetenv("GLLC_FAULT");
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+    EXPECT_EQ(outcome.value().payload, expected);
+    EXPECT_EQ(daemon_->workerCrashes(), 0u);
+    daemon_->stop();
+
+    // The 5 s reap deadline, plus slack for the job itself.
+    constexpr long long kDeadlineMs = 5000;
+    constexpr long long kSlackMs = 10000;
+    EXPECT_GE(elapsed_ms, kDeadlineMs);
+    EXPECT_LT(elapsed_ms, kDeadlineMs + kSlackMs);
+
+    std::ifstream in(events_path);
+    ASSERT_TRUE(in.good());
+    unsigned timeouts = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        Result<JsonValue> event = parseJson(line);
+        ASSERT_TRUE(event.ok()) << line;
+        const JsonValue *type = event.value().find("event");
+        if (type == nullptr || type->string() != "worker_reap_timeout")
+            continue;
+        ++timeouts;
+        ASSERT_NE(event.value().find("job"), nullptr) << line;
+        ASSERT_NE(event.value().find("pid"), nullptr) << line;
+        ASSERT_NE(event.value().find("waited_ms"), nullptr) << line;
+        EXPECT_GT(event.value().find("pid")->number(), 0.0) << line;
+        const double waited = event.value().find("waited_ms")->number();
+        EXPECT_GE(waited, static_cast<double>(kDeadlineMs)) << line;
+        EXPECT_LT(waited, static_cast<double>(kDeadlineMs + kSlackMs))
+            << line;
+    }
+    EXPECT_EQ(timeouts, 1u);  // one worker, one reap
+}
+
 TEST_F(ServiceTest, SigtermedDaemonLeavesValidArtifacts)
 {
     // The real binary, a real SIGTERM: the stats snapshot and the

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "rcache/render_caches.hh"
 #include "rcache/small_cache.hh"
 
 using namespace gllc;
@@ -16,6 +20,122 @@ Addr
 block(Addr n)
 {
     return n * kBlockBytes;
+}
+
+/**
+ * Reference model: the straightforward stamp-LRU cache (one record
+ * per way, a 64-bit use stamp, a hit scan and a victim scan).
+ * SmallCache must match it access for access.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::uint32_t sets, std::uint32_t ways,
+                   bool write_allocate)
+        : sets_(sets), ways_(ways), writeAllocate_(write_allocate),
+          entries_(static_cast<std::size_t>(sets) * ways)
+    {
+    }
+
+    bool
+    access(Addr addr, bool is_write, StreamType stream,
+           std::uint32_t cycle, std::vector<MemAccess> &out)
+    {
+        ++stats_.accesses;
+        const Addr tag = blockNumber(addr);
+        const std::size_t base =
+            static_cast<std::size_t>(tag & (sets_ - 1)) * ways_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Entry &e = entries_[base + w];
+            if (e.valid && e.tag == tag) {
+                ++stats_.hits;
+                e.stamp = ++clock_;
+                e.dirty = e.dirty || is_write;
+                return true;
+            }
+        }
+        if (is_write && !writeAllocate_) {
+            out.emplace_back(blockAlign(addr), stream, true, cycle);
+            return false;
+        }
+        std::uint32_t victim = 0;
+        bool found_invalid = false;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!entries_[base + w].valid) {
+                victim = w;
+                found_invalid = true;
+                break;
+            }
+            if (entries_[base + w].stamp < entries_[base + victim].stamp)
+                victim = w;
+        }
+        Entry &e = entries_[base + victim];
+        if (!found_invalid && e.dirty) {
+            ++stats_.writebacks;
+            out.emplace_back(e.tag << kBlockShift, e.stream, true, cycle);
+        }
+        if (!is_write)
+            out.emplace_back(blockAlign(addr), stream, false, cycle);
+        e = Entry{tag, ++clock_, stream, true, is_write};
+        return false;
+    }
+
+    void
+    flush(std::uint32_t cycle, std::vector<MemAccess> &out)
+    {
+        std::uint32_t drained = 0;
+        for (Entry &e : entries_) {
+            if (e.valid && e.dirty) {
+                ++stats_.writebacks;
+                out.emplace_back(e.tag << kBlockShift, e.stream, true,
+                                 cycle + drained / 2);
+                ++drained;
+            }
+            e.valid = false;
+        }
+    }
+
+    const SmallCacheStats &stats() const { return stats_; }
+
+  private:
+    struct Entry
+    {
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+        StreamType stream = StreamType::Other;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    bool writeAllocate_;
+    std::uint64_t clock_ = 0;
+    std::vector<Entry> entries_;
+    SmallCacheStats stats_;
+};
+
+/** (blocks, ways) of every cache RenderCacheConfig::scaled(s) builds. */
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+scaledGeometries(std::uint32_t pixel_scale)
+{
+    const RenderCacheConfig c = RenderCacheConfig{}.scaled(pixel_scale);
+    return {{c.vtxIndexBlocks, c.vtxIndexWays},
+            {c.vertexBlocks, c.vertexWays},
+            {c.hizBlocks, c.hizWays},
+            {c.stencilBlocks, c.stencilWays},
+            {c.rtBlocks, c.rtWays},
+            {c.zBlocks, c.zWays},
+            {c.texture.l1Blocks, c.texture.l1Ways},
+            {c.texture.l2Blocks, c.texture.l2Ways},
+            {c.texture.l3Blocks, c.texture.l3Ways}};
+}
+
+bool
+sameAccess(const MemAccess &a, const MemAccess &b)
+{
+    return a.addr == b.addr && a.stream == b.stream
+        && a.isWrite == b.isWrite && a.cycle == b.cycle;
 }
 
 } // namespace
@@ -144,4 +264,75 @@ TEST(SmallCache, NonPow2BlocksRoundedDown)
 {
     SmallCache c("t", 24, 24);
     EXPECT_EQ(c.sets() * c.ways(), 16u);
+}
+
+TEST(SmallCache, MatchesStampLruReferenceOnEveryScaledGeometry)
+{
+    std::size_t checked = 0;
+    bool saw_128_ways = false;
+    for (std::uint32_t scale : {1u, 4u, 16u, 64u}) {
+        for (const auto &[blocks, ways] : scaledGeometries(scale)) {
+            for (bool write_allocate : {true, false}) {
+                SmallCache cache("t", blocks, ways, write_allocate);
+                saw_128_ways = saw_128_ways || cache.ways() == 128;
+                ReferenceCache ref(cache.sets(), cache.ways(),
+                                   write_allocate);
+                const std::uint32_t capacity =
+                    cache.sets() * cache.ways();
+                std::mt19937_64 rng(
+                    (std::uint64_t{scale} << 40)
+                    ^ (std::uint64_t{blocks} << 20) ^ (ways << 1)
+                    ^ write_allocate);
+                // Tags drawn from three times the capacity, half of
+                // them from a hot eighth, so hits land at every
+                // recency depth and sets fill, evict and flush.
+                std::uniform_int_distribution<Addr> cold(
+                    0, 3 * Addr{capacity} - 1);
+                std::uniform_int_distribution<Addr> hot(
+                    0, std::max<Addr>(1, capacity / 8));
+                std::vector<MemAccess> got;
+                std::vector<MemAccess> want;
+                for (std::uint32_t i = 0; i < 40000; ++i) {
+                    const std::uint64_t r = rng();
+                    const std::uint32_t cycle =
+                        static_cast<std::uint32_t>(r >> 40);
+                    if (r % 1000 == 0) {
+                        cache.flush(cycle, got);
+                        ref.flush(cycle, want);
+                        continue;
+                    }
+                    const Addr addr =
+                        ((r & 2) != 0 ? hot(rng) : cold(rng))
+                            * kBlockBytes
+                        + (r >> 8) % kBlockBytes;
+                    const bool is_write = (r & 4) != 0;
+                    const auto stream =
+                        static_cast<StreamType>((r >> 4) % kNumStreams);
+                    ASSERT_EQ(
+                        cache.access(addr, is_write, stream, cycle, got),
+                        ref.access(addr, is_write, stream, cycle, want))
+                        << "access " << i << " of " << blocks << "x"
+                        << ways << " scale " << scale;
+                }
+                cache.flush(7, got);
+                ref.flush(7, want);
+
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t k = 0; k < got.size(); ++k) {
+                    ASSERT_TRUE(sameAccess(got[k], want[k]))
+                        << "emitted access " << k << " of " << blocks
+                        << "x" << ways << " scale " << scale;
+                }
+                EXPECT_EQ(cache.stats().accesses, ref.stats().accesses);
+                EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+                EXPECT_EQ(cache.stats().writebacks,
+                          ref.stats().writebacks);
+                EXPECT_GT(cache.stats().hits, 0u);
+                EXPECT_GT(cache.stats().writebacks, 0u);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 4u * 9u * 2u);
+    EXPECT_TRUE(saw_128_ways);  // the scale-1 vertex cache
 }

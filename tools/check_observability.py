@@ -66,6 +66,7 @@ EVENT_FIELDS = {
                    "error"},
     "cell_quarantined": {"job", "app", "frame", "policy",
                          "attempts", "error"},
+    "worker_reap_timeout": {"job", "pid", "waited_ms"},
 }
 
 
