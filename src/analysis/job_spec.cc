@@ -16,33 +16,6 @@ namespace gllc
 namespace
 {
 
-void
-appendFrames(std::string &out,
-             const std::vector<SweepJobFrame> &frames)
-{
-    out += "\"frames\":[";
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (i)
-            out += ',';
-        out += "{\"app\":\"";
-        out += jsonEscape(frames[i].app);
-        out += "\",\"frame\":";
-        out += std::to_string(frames[i].frameIndex);
-        out += '}';
-    }
-    out += ']';
-}
-
-void
-appendScale(std::string &out, std::uint32_t linear, bool scatter)
-{
-    out += "\"scale\":{\"linear\":";
-    out += std::to_string(linear);
-    out += ",\"scatter_pages\":";
-    out += scatter ? "true" : "false";
-    out += '}';
-}
-
 const char *
 boolWord(bool v)
 {
@@ -99,9 +72,9 @@ SweepJobSpec::identityJson() const
         out += '"';
     }
     out += "],";
-    appendFrames(out, frames);
+    appendFramesJson(out, frames);
     out += ',';
-    appendScale(out, scaleLinear, scatterPages);
+    appendScaleJson(out, scaleLinear, scatterPages);
     out += ",\"llc_bytes\":";
     out += std::to_string(llcBytes);
     out += '}';
@@ -146,14 +119,7 @@ SweepJobSpec::contentHash() const
 std::uint64_t
 SweepJobSpec::traceHash() const
 {
-    std::string out = "{\"gllc_sweep_traces\":";
-    out += std::to_string(kVersion);
-    out += ',';
-    appendFrames(out, frames);
-    out += ',';
-    appendScale(out, scaleLinear, scatterPages);
-    out += '}';
-    return fnv1a64(out);
+    return traceSetHash(frames, scaleLinear, scatterPages);
 }
 
 Result<Unit>

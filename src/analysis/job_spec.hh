@@ -38,22 +38,13 @@
 #include <vector>
 
 #include "common/result.hh"
+#include "workload/trace_identity.hh"
 
 namespace gllc
 {
 
 /** One frame of a job, by application name (serializable). */
-struct SweepJobFrame
-{
-    std::string app;
-    std::uint32_t frameIndex = 0;
-
-    bool
-    operator==(const SweepJobFrame &other) const
-    {
-        return frameIndex == other.frameIndex && app == other.app;
-    }
-};
+using SweepJobFrame = FrameRef;
 
 /** The plain-data description of one sweep job. */
 struct SweepJobSpec
@@ -112,7 +103,9 @@ struct SweepJobSpec
     /**
      * Stable hash of the trace-determining subset (frames + scale):
      * two specs with equal traceHash() replay the same rendered
-     * traces, whatever their policies or LLC size.
+     * traces, whatever their policies or LLC size.  It is
+     * traceSetHash() (workload/trace_identity.hh), the identity that
+     * also names each cached trace file.
      */
     std::uint64_t traceHash() const;
 

@@ -17,7 +17,7 @@
  * the first three sweep-cell attempts throw.  Sites:
  *
  *   trace.bitflip   flip one bit of a deserialized trace payload
- *                   (the v2 section checksum must catch it)
+ *                   (the section checksum must catch it)
  *   trace.truncate  make trace deserialization see early EOF
  *   cell.throw      throw out of a sweep (frame, policy) cell
  *   cell.delay      stall a sweep cell (exercises the watchdog)

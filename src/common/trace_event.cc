@@ -226,6 +226,13 @@ TraceSpan::TraceSpan(const char *category, std::string name,
     startUs_ = TraceCollector::instance().nowUs();
 }
 
+void
+TraceSpan::arg(std::string key, std::string value)
+{
+    if (active_)
+        args_.emplace_back(std::move(key), std::move(value));
+}
+
 TraceSpan::~TraceSpan()
 {
     if (!active_)

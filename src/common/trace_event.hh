@@ -133,6 +133,9 @@ class TraceSpan
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
+    /** Add an arg known only once the span is under way. */
+    void arg(std::string key, std::string value);
+
   private:
     bool active_;
     const char *category_ = nullptr;

@@ -8,6 +8,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "service/fd_hygiene.hh"
+
 namespace gllc
 {
 
@@ -20,7 +22,7 @@ ServiceClient::connectUnix(const std::string &path)
                              "socket path too long: %s",
                              path.c_str());
     std::signal(SIGPIPE, SIG_IGN);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = openStreamSocket(AF_UNIX);
     if (fd < 0)
         return Error::format(ErrorCode::Io, "socket(): %s",
                              std::strerror(errno));
@@ -43,7 +45,7 @@ Result<ServiceClient>
 ServiceClient::connectTcp(int port)
 {
     std::signal(SIGPIPE, SIG_IGN);
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = openStreamSocket(AF_INET);
     if (fd < 0)
         return Error::format(ErrorCode::Io, "socket(): %s",
                              std::strerror(errno));

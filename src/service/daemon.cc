@@ -22,6 +22,8 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/trace_event.hh"
+#include "service/fd_hygiene.hh"
+#include "trace/trace_io.hh"
 
 namespace gllc
 {
@@ -140,7 +142,7 @@ SweepDaemon::bindUnixListener()
         return Error::format(ErrorCode::InvalidArgument,
                              "socket path too long: %s",
                              options_.socketPath.c_str());
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = openStreamSocket(AF_UNIX);
     if (fd < 0)
         return Error::format(ErrorCode::Io, "socket(): %s",
                              std::strerror(errno));
@@ -164,7 +166,7 @@ SweepDaemon::bindUnixListener()
 Result<int>
 SweepDaemon::bindTcpListener()
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = openStreamSocket(AF_INET);
     if (fd < 0)
         return Error::format(ErrorCode::Io, "socket(): %s",
                              std::strerror(errno));
@@ -213,6 +215,10 @@ SweepDaemon::start()
         if (!opened.ok())
             return opened.error();
     }
+    // Trace temp files left by a worker or daemon killed mid-write
+    // are never read and never renamed; no worker of ours runs yet.
+    if (store_.enabled())
+        removeTraceTempFiles(store_.traceCacheDir());
     if (!options_.traceDir.empty()
         && !makeDirs(options_.traceDir))
         return Error::format(ErrorCode::Io,
@@ -419,7 +425,7 @@ void
 SweepDaemon::acceptLoop(int listen_fd)
 {
     while (running_.load()) {
-        const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+        const int fd = acceptConnection(listen_fd);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
@@ -1118,8 +1124,9 @@ SweepDaemon::executeJob(const QueuedJob &job)
     }
 
     ShardedRunStats stats;
-    Result<SweepResult> run = runShardedSweep(
-        job.spec, options_.workers, &stats, &telemetry);
+    Result<SweepResult> run =
+        runShardedSweep(job.spec, options_.workers,
+                        store_.traceCacheDir(), &stats, &telemetry);
     workerCrashes_.fetch_add(stats.workerCrashes);
     cellTimeouts_.fetch_add(stats.cellTimeouts);
 

@@ -15,7 +15,9 @@
  *      the same bytes;
  *   3. otherwise the job queues; the single dispatcher thread pops
  *      per the fairness policy and executes it via runShardedSweep,
- *      cells fanned out over worker subprocesses — a crashing cell
+ *      cells fanned out over worker subprocesses, which load each
+ *      frame's trace from the store's trace cache when any earlier
+ *      job rendered it at the same scale — a crashing cell
  *      kills a worker, gets retried on a fresh one, and at worst
  *      quarantines that cell; the daemon never dies with it;
  *   4. the exact writeSweepJson() bytes are stored (clean runs
@@ -70,7 +72,10 @@ struct DaemonOptions
     /** Worker subprocesses per job (clamped to the frame count). */
     unsigned workers = 2;
 
-    /** ResultStore root; "" disables result caching. */
+    /**
+     * ResultStore root; its traces/ subdirectory is the workers'
+     * frame-trace cache.  "" disables both.
+     */
     std::string storeDir;
 
     /**

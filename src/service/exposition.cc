@@ -7,6 +7,7 @@
 #include <unistd.h>
 #include <utility>
 
+#include "service/fd_hygiene.hh"
 #include "service/protocol.hh"
 
 namespace gllc
@@ -58,7 +59,7 @@ MetricsHttpServer::start(int port, BodyFn metrics_text,
     if (running_.load())
         return Error(ErrorCode::InvalidArgument,
                      "exposition server already started");
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = openStreamSocket(AF_INET);
     if (fd < 0)
         return Error::format(ErrorCode::Io, "socket(): %s",
                              std::strerror(errno));
@@ -109,7 +110,7 @@ void
 MetricsHttpServer::serveLoop()
 {
     while (running_.load()) {
-        const int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+        const int fd = acceptConnection(listenFd_);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;

@@ -80,7 +80,8 @@ JobJournal::open(const std::string &path)
         return Error::format(ErrorCode::InvalidArgument,
                              "job journal already open at \"%s\"",
                              path_.c_str());
-    file_ = std::fopen(path.c_str(), "ab");
+    // "e": close-on-exec, so forked workers never inherit it.
+    file_ = std::fopen(path.c_str(), "abe");
     if (file_ == nullptr)
         return Error::format(ErrorCode::Io,
                              "cannot open job journal \"%s\": %s",

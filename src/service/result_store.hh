@@ -14,7 +14,12 @@
  *
  *   <root>/tr<traceHash:016x>-sp<specHash:016x>.json
  *
- * holding the exact writeSweepJson() bytes that were served.  Writes
+ * holding the exact writeSweepJson() bytes that were served, plus the
+ * workers' frame-trace cache, one file per rendered frame,
+ *
+ *   <root>/traces/tr<traceHash of that one frame:016x>.gltrc
+ *
+ * (workload/trace_cache.hh).  Neither is ever evicted.  Writes
  * go through a same-directory temp file and rename(2), so a crashed
  * daemon can never leave a torn entry for a later hit to trust;
  * results with quarantined cells are never stored (partial results
@@ -67,6 +72,13 @@ class ResultStore
 
     /** True when the store is configured with a directory. */
     bool enabled() const { return !root_.empty(); }
+
+    /** The frame-trace cache directory ("" when disabled). */
+    std::string
+    traceCacheDir() const
+    {
+        return root_.empty() ? "" : root_ + "/traces";
+    }
 
     /** The file a key maps to ("" when disabled). */
     std::string path(const ResultKey &key) const;

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fcntl.h>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -32,6 +31,8 @@
 #include "common/metrics.hh"
 #include "common/thread_annotations.hh"
 #include "common/trace_event.hh"
+#include "service/fd_hygiene.hh"
+#include "trace/trace_io.hh"
 #include "workload/app_profile.hh"
 #include "workload/trace_cache.hh"
 
@@ -187,6 +188,22 @@ cellRequestLine(std::size_t frame, std::size_t policy,
     return line;
 }
 
+/**
+ * Strip a reply's frame-source prefix ("cache " or "render ") and
+ * return its word; "" when the cell reused the frame in memory.
+ */
+std::string
+takeFrameSource(std::string &line)
+{
+    for (const std::string word : {"cache", "render"}) {
+        if (line.compare(0, word.size() + 1, word + ' ') == 0) {
+            line.erase(0, word.size() + 1);
+            return word;
+        }
+    }
+    return "";
+}
+
 /** The trace-context line handed to a freshly spawned worker. */
 std::string
 traceRequestLine(const ShardTelemetry &telemetry,
@@ -309,10 +326,17 @@ exitDescription(int status)
 class WorkerProcess
 {
   public:
-    /** @param telemetry reap-timeout events go here; may be null */
-    explicit WorkerProcess(const ShardTelemetry *telemetry)
-        : telemetry_(telemetry)
+    /**
+     * @param telemetry reap-timeout events go here; may be null
+     * @param trace_cache_dir the workers' trace cache ("" = none)
+     */
+    WorkerProcess(const ShardTelemetry *telemetry,
+                  const std::string &trace_cache_dir)
+        : telemetry_(telemetry), traceCacheDir_(trace_cache_dir),
+          argv_{"gllcd-worker", "--worker"}
     {
+        if (!traceCacheDir_.empty())
+            argv_.push_back(traceCacheDir_);
     }
     ~WorkerProcess() { shutdown(); }
 
@@ -324,48 +348,21 @@ class WorkerProcess
     /** The subprocess pid (names its per-spawn trace file). */
     pid_t pid() const { return pid_; }
 
-    /** Spawn and send the spec line; false on any failure. */
+    /**
+     * Spawn `exe --worker [TRACE_CACHE_DIR]` and send the spec line;
+     * false on any failure.  The child inherits fds 0, 1 and 2 only
+     * (fd_hygiene.hh).
+     */
     [[nodiscard]] bool
     spawn(const std::string &exe, const std::string &spec_line)
     {
-        // O_CLOEXEC: shard threads spawn concurrently, and a worker
-        // that inherited a sibling's stdin write end would keep that
-        // sibling from ever seeing EOF, so its reap would block.
-        int to_child[2];
-        int from_child[2];
-        if (::pipe2(to_child, O_CLOEXEC) != 0)
+        Result<PipedChild> child = spawnPiped(exe, argv_);
+        if (!child.ok())
             return false;
-        if (::pipe2(from_child, O_CLOEXEC) != 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            return false;
-        }
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: stdin/stdout onto the pipes, then exec the
-            // worker entry.  Only async-signal-safe calls here.  The
-            // dup2 copies drop FD_CLOEXEC; exec closes the rest.
-            ::dup2(to_child[0], 0);
-            ::dup2(from_child[1], 1);
-            char arg0[] = "gllcd-worker";
-            char arg1[] = "--worker";
-            char *argv[] = {arg0, arg1, nullptr};
-            ::execv(exe.c_str(), argv);
-            ::_exit(127);
-        }
-        pid_ = pid;
-        writeFd_ = to_child[1];
-        readFd_ = from_child[0];
+        pid_ = child.value().pid;
+        writeFd_ = child.value().stdinFd;
+        readFd_ = child.value().stdoutFd;
         buffer_.clear();
-        ::close(to_child[0]);
-        ::close(from_child[1]);
         if (!send(spec_line)) {
             shutdown();
             return false;
@@ -449,7 +446,8 @@ class WorkerProcess
     /**
      * Close pipes and reap; returns the exit description.  A worker
      * still running kReapDeadlineMs after its pipes close is
-     * SIGKILLed, so the reap is bounded.
+     * SIGKILLed, so the reap is bounded.  A worker that did not exit
+     * cleanly may have died mid-write: its trace temp files go too.
      */
     std::string
     shutdown()
@@ -479,6 +477,9 @@ class WorkerProcess
                    && errno == EINTR) {
             }
             how = exitDescription(status);
+            if (!traceCacheDir_.empty()
+                && !(WIFEXITED(status) && WEXITSTATUS(status) == 0))
+                removeTraceTempFiles(traceCacheDir_, pid_);
             pid_ = -1;
         }
         return how;
@@ -505,6 +506,8 @@ class WorkerProcess
     }
 
     const ShardTelemetry *telemetry_;
+    const std::string traceCacheDir_;
+    std::vector<std::string> argv_;
     pid_t pid_ = -1;
     int writeFd_ = -1;
     int readFd_ = -1;
@@ -544,6 +547,7 @@ struct CellOutcome
  */
 void
 runShard(const SweepJobSpec &spec, const std::string &spec_line,
+         const std::string &trace_cache_dir,
          const std::vector<std::pair<std::size_t, std::size_t>>
              &cells,
          std::vector<CellOutcome> &outcomes, std::size_t num_policies,
@@ -551,7 +555,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
 {
     const std::string exe = workerExecutable();
     const unsigned max_attempts = spec.retries + 1;
-    WorkerProcess proc(telemetry);
+    WorkerProcess proc(telemetry, trace_cache_dir);
 
     // Hand every fresh worker the job's trace context; each spawn
     // writes its own worker-<pid>.jsonl, so a crashed worker leaves
@@ -578,6 +582,16 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
         if (metricsActive())
             MetricsRegistry::instance().addCounter(
                 "gllcd.worker_crashes");
+    };
+    const auto note_frame_source = [](const std::string &source) {
+        if (source.empty() || !metricsActive())
+            return;
+        if (source == "cache")
+            MetricsRegistry::instance().addCounter(
+                "gllcd.trace_cache.hits");
+        else
+            MetricsRegistry::instance().addCounter(
+                "gllcd.trace_cache.misses");
     };
     const auto note_timeout = [&] {
         MutexLock lock(shared.mutex);
@@ -650,6 +664,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
                 continue;
             }
 
+            note_frame_source(takeFrameSource(line));
             SweepCell cell;
             if (parseCheckpointCellLine(line, cell)
                 && cell.key == expect) {
@@ -700,6 +715,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
 
 Result<SweepResult>
 runShardedSweep(const SweepJobSpec &spec, unsigned workers,
+                const std::string &trace_cache_dir,
                 ShardedRunStats *stats,
                 const ShardTelemetry *telemetry)
 {
@@ -733,8 +749,8 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
         drivers.reserve(shard_count);
         for (unsigned s = 0; s < shard_count; ++s) {
             drivers.emplace_back([&, s] {
-                runShard(spec, spec_line, shards[s], outcomes,
-                         num_policies, shared, telemetry);
+                runShard(spec, spec_line, trace_cache_dir, shards[s],
+                         outcomes, num_policies, shared, telemetry);
             });
         }
         for (std::thread &t : drivers)
@@ -781,14 +797,17 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
 }
 
 int
-runSweepWorker()
+runSweepWorker(const std::string &trace_cache_dir)
 {
     // The daemon's telemetry env vars are inherited through exec;
     // left in place, every worker's atexit exporters would race to
     // clobber the daemon's own stats/trace files.  Workers report
-    // through the line protocol and the trace context instead.
+    // through the line protocol and the trace context instead.  The
+    // trace cache is the one the daemon names (<store>/traces), not
+    // an inherited GLLC_TRACE_CACHE.
     ::unsetenv("GLLC_STATS_JSON");
     ::unsetenv("GLLC_TRACE_OUT");
+    ::unsetenv("GLLC_TRACE_CACHE");
 
     // Line 1: the job spec this worker serves cells of.
     char *buf = nullptr;
@@ -835,9 +854,9 @@ runSweepWorker()
     std::string trace_out;
     double daemon_epoch_us = 0.0;
 
-    // The last trace rendered, keyed by its index in spec.frames.
+    // The last trace loaded, keyed by its index in spec.frames.
     // runShard sends a shard's cells frame-major, so each frame
-    // renders once and all of its cells replay that one trace.
+    // loads once and all of its cells replay that one trace.
     std::optional<std::pair<std::uint64_t, FrameTrace>> rendered;
 
     // Serve cell requests until the parent hangs up.
@@ -915,6 +934,8 @@ runSweepWorker()
         cell.attempts = attempt;
         const std::uint64_t fault_key =
             cellFaultKey(cell.key, attempt);
+        // "cache" or "render" when this cell loaded its frame.
+        std::string source;
 
         // The crash site fires before any reply, so the parent sees
         // EOF on exactly this cell.  _Exit skips atexit/destructors:
@@ -948,17 +969,22 @@ runSweepWorker()
                                   {"frame",
                                    std::to_string(frame.frameIndex)},
                                   {"trace", trace_id}});
+                bool loaded = false;
                 rendered.emplace(frame_idx.value(),
                                  cachedRenderFrame(*apps.at(frame.app),
                                                    frame.frameIndex,
-                                                   scale));
+                                                   scale,
+                                                   trace_cache_dir,
+                                                   &loaded));
+                source = loaded ? "cache" : "render";
+                render.arg("source", source);
             }
             cell.result = runTrace(rendered->second, policy, llc);
         });
-        const std::string reply =
-            error.empty()
-                ? checkpointCellLine(cell)
-                : failedCellLine(cell.key, attempt, error);
+        std::string reply = source.empty() ? "" : source + ' ';
+        reply += error.empty()
+            ? checkpointCellLine(cell)
+            : failedCellLine(cell.key, attempt, error);
         if (!writeAll(1, reply.data(), reply.size())) {
             rc = 74;  // EX_IOERR: parent is gone
             break;

@@ -26,6 +26,11 @@
  *                          the way it survives a crash
  *                        failure: {"failed":1,...} sealed the same
  *                          way, carrying the error text
+ *                      a cell that loaded its frame (rather than
+ *                      reusing the one in memory) prefixes its line
+ *                      with "cache " or "render ": where the trace
+ *                      came from, counted by the parent as
+ *                      gllcd.trace_cache.hits / .misses
  *
  * Requests are strictly request/response, so when a worker dies the
  * unanswered request names the killer cell precisely.  The parent
@@ -38,7 +43,11 @@
  *
  * The worker executable is GLLC_WORKER_EXE when set (tests point it
  * at the gllcd binary) and /proc/self/exe otherwise; either way it
- * is entered through runSweepWorker() via the --worker flag.
+ * is entered through runSweepWorker() via the --worker flag, followed
+ * by the trace cache directory when the daemon has one
+ * (`gllcd --worker [DIR]`).  Workers sharing a cache directory load
+ * each other's traces: a frame any earlier job rendered at the same
+ * scale loads instead of rendering.
  */
 
 #ifndef GLLC_SERVICE_WORKER_HH
@@ -108,20 +117,23 @@ struct ShardTelemetry
  * timeout).  InvalidArgument when the spec does not
  * validate(); Io when workers cannot be spawned at all.  Individual
  * cell failures and crashes never fail the run — they quarantine,
- * exactly like the in-process engine.
+ * exactly like the in-process engine.  Workers load and store frame
+ * traces in @p trace_cache_dir ("" = render every frame).
  */
 [[nodiscard]] Result<SweepResult>
 runShardedSweep(const SweepJobSpec &spec, unsigned workers,
+                const std::string &trace_cache_dir,
                 ShardedRunStats *stats = nullptr,
                 const ShardTelemetry *telemetry = nullptr);
 
 /**
  * Worker-subprocess entry: serve cell requests on stdin/stdout per
- * the protocol above until EOF.  Returns the process exit code (0
- * on an orderly shutdown, EX_DATAERR-style nonzero when the parent
+ * the protocol above until EOF, caching frame traces in
+ * @p trace_cache_dir ("" = no cache).  Returns the process exit code
+ * (0 on an orderly shutdown, EX_DATAERR-style nonzero when the parent
  * speaks garbage).
  */
-int runSweepWorker();
+int runSweepWorker(const std::string &trace_cache_dir);
 
 } // namespace gllc
 

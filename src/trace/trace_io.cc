@@ -1,9 +1,14 @@
 #include "trace/trace_io.hh"
 
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <dirent.h>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <unistd.h>
 
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -18,6 +23,7 @@ namespace
 constexpr char kMagicPrefix[7] = {'G', 'L', 'L', 'C', 'T', 'R', 'C'};
 constexpr char kVersion1 = '1';
 constexpr char kVersion2 = '2';
+constexpr char kVersion3 = '3';
 
 /** Sanity caps: declared sizes beyond these are corruption. */
 constexpr std::uint32_t kMaxNameLen = 1u << 20;
@@ -99,7 +105,7 @@ void
 writeTrace(const FrameTrace &trace, std::ostream &os)
 {
     os.write(kMagicPrefix, sizeof(kMagicPrefix));
-    os.put(kVersion2);
+    os.put(kVersion3);
 
     SectionWriter header{os};
     header.str(trace.name);
@@ -121,7 +127,7 @@ writeTrace(const FrameTrace &trace, std::ostream &os)
     os.write(reinterpret_cast<const char *>(trace.accesses.data()),
              static_cast<std::streamsize>(record_bytes));
     const std::uint64_t record_hash =
-        fnv1a64(trace.accesses.data(), record_bytes);
+        laneHash64(trace.accesses.data(), record_bytes);
     os.write(reinterpret_cast<const char *>(&record_hash),
              sizeof(record_hash));
 }
@@ -129,19 +135,55 @@ writeTrace(const FrameTrace &trace, std::ostream &os)
 Result<Unit>
 tryWriteTraceFile(const FrameTrace &trace, const std::string &path)
 {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    // Write a private temp file in the same directory, then rename()
+    // it over @p path: a concurrent reader finds the old file, the new
+    // one or none, never a torn one, and racing writers each publish
+    // a whole file.
+    static std::atomic<std::uint64_t> next_tmp{0};
+    const std::string tmp_path = path + ".tmp."
+        + std::to_string(::getpid()) + "."
+        + std::to_string(next_tmp.fetch_add(1));
+    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
     if (!os) {
         return Error::format(ErrorCode::Io,
                              "cannot open \"%s\" for writing",
-                             path.c_str());
+                             tmp_path.c_str());
     }
     writeTrace(trace, os);
-    os.flush();
+    os.close();
     if (!os) {
+        ::unlink(tmp_path.c_str());
         return Error::format(ErrorCode::Io, "write to \"%s\" failed",
-                             path.c_str());
+                             tmp_path.c_str());
+    }
+    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+        const Error err = Error::format(
+            ErrorCode::Io, "rename \"%s\" -> \"%s\" failed: %s",
+            tmp_path.c_str(), path.c_str(), std::strerror(errno));
+        ::unlink(tmp_path.c_str());
+        return err;
     }
     return Unit{};
+}
+
+std::size_t
+removeTraceTempFiles(const std::string &dir, long writer_pid)
+{
+    const std::string tag = writer_pid == 0
+        ? ".tmp."
+        : ".tmp." + std::to_string(writer_pid) + ".";
+    std::size_t removed = 0;
+    DIR *listing = ::opendir(dir.c_str());
+    if (listing == nullptr)
+        return 0;
+    while (const dirent *entry = ::readdir(listing)) {
+        const std::string name = entry->d_name;
+        if (name.find(tag) != std::string::npos
+            && ::unlink((dir + "/" + name).c_str()) == 0)
+            ++removed;
+    }
+    ::closedir(listing);
+    return removed;
 }
 
 void
@@ -161,7 +203,8 @@ tryReadTrace(std::istream &is)
         return Error(ErrorCode::BadMagic,
                      "not a gllc trace file (bad magic)");
     const char version = magic[7];
-    if (version != kVersion1 && version != kVersion2)
+    if (version != kVersion1 && version != kVersion2
+        && version != kVersion3)
         return Error::format(ErrorCode::BadVersion,
                              "unsupported trace version '%c'",
                              version);
@@ -198,7 +241,7 @@ tryReadTrace(std::istream &is)
             "absurd access count %llu (corrupt header)",
             static_cast<unsigned long long>(count));
 
-    if (version == kVersion2) {
+    if (version != kVersion1) {
         std::uint64_t stored = 0;
         if (!readRawU64(is, stored))
             return truncatedError("the header checksum");
@@ -234,12 +277,13 @@ tryReadTrace(std::istream &is)
             static_cast<unsigned char>(1u << (bit % 8));
     }
 
-    if (version == kVersion2) {
+    if (version != kVersion1) {
         std::uint64_t stored = 0;
         if (!readRawU64(is, stored))
             return truncatedError("the record checksum");
-        const std::uint64_t computed =
-            fnv1a64(trace.accesses.data(), record_bytes);
+        const std::uint64_t computed = version == kVersion2
+            ? fnv1a64(trace.accesses.data(), record_bytes)
+            : laneHash64(trace.accesses.data(), record_bytes);
         if (stored != computed)
             return Error::format(
                 ErrorCode::ChecksumMismatch,

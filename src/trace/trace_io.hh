@@ -5,21 +5,22 @@
  * Generating a frame trace costs far more than replaying it, so the
  * harnesses can cache traces on disk: `tracegen` writes them and any
  * replay tool loads them back.  The format is a fixed little-endian
- * header followed by the packed MemAccess records; version 2 adds a
- * per-section FNV-1a checksum so bit rot in a cached trace is
- * detected instead of silently skewing results:
+ * header followed by the packed MemAccess records, with a
+ * per-section checksum so bit rot in a cached trace is detected
+ * instead of silently skewing results:
  *
- *   magic    "GLLCTRC2"                      8 bytes
+ *   magic    "GLLCTRC3"                      8 bytes
  *   names    u32 length + bytes, twice       (trace name, app name)
  *   u32      frameIndex
  *   u64 x 6  FrameWork counters
  *   u64      access count
  *   u64      header checksum (fnv1a64 of the bytes after the magic)
  *   records  16-byte MemAccess entries
- *   u64      record checksum (fnv1a64 of the record bytes)
+ *   u64      record checksum (laneHash64 of the record bytes)
  *
- * Readers also accept the checksum-free version-1 layout ("GLLCTRC1")
- * written before this scheme existed.
+ * Readers also accept version 2 ("GLLCTRC2"), the same layout with an
+ * fnv1a64 record checksum (byte-serial, so it took most of a write's
+ * or a read's time), and the checksum-free version 1 ("GLLCTRC1").
  *
  * Robustness contract: the try* readers never abort.  Malformed
  * input of any kind — wrong magic, unsupported version, truncation,
@@ -47,9 +48,22 @@ namespace gllc
 /** Serialize @p trace to a stream (always the current version). */
 void writeTrace(const FrameTrace &trace, std::ostream &os);
 
-/** Serialize @p trace to a file; typed error on I/O failure. */
+/**
+ * Serialize @p trace to a file; typed error on I/O failure.  The file
+ * appears atomically (temp file + rename), so readers never see a
+ * partial trace and concurrent writers of one path cannot tear it.
+ */
 [[nodiscard]] Result<Unit> tryWriteTraceFile(const FrameTrace &trace,
                                const std::string &path);
+
+/**
+ * Remove the temp files tryWriteTraceFile() leaves in @p dir when its
+ * writer dies mid-write (`<name>.tmp.<pid>.<n>`): those of process
+ * @p writer_pid, or all of them when it is 0.  Returns how many were
+ * removed; a missing directory removes none.
+ */
+std::size_t removeTraceTempFiles(const std::string &dir,
+                                 long writer_pid = 0);
 
 /** Legacy wrapper over tryWriteTraceFile(); fatal on I/O failure. */
 void writeTraceFile(const FrameTrace &trace, const std::string &path);

@@ -1,11 +1,15 @@
 #include "workload/trace_cache.hh"
 
+#include <cinttypes>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "trace/trace_io.hh"
+#include "workload/trace_identity.hh"
 
 namespace gllc
 {
@@ -19,16 +23,20 @@ traceCachePath(const AppProfile &app, std::uint32_t frame_index,
                           : cache_dir;
     if (dir.empty())
         return "";
-    return dir + "/" + app.name + "_f" + std::to_string(frame_index)
-        + "_s" + std::to_string(scale.linear)
-        + (scale.scatterPages ? "" : "_noscatter") + ".gltrc";
+    char name[32];
+    std::snprintf(name, sizeof(name), "tr%016" PRIx64 ".gltrc",
+                  traceSetHash({{app.name, frame_index}}, scale.linear,
+                               scale.scatterPages));
+    return dir + "/" + name;
 }
 
 FrameTrace
 cachedRenderFrame(const AppProfile &app, std::uint32_t frame_index,
                   const RenderScale &scale,
-                  const std::string &cache_dir)
+                  const std::string &cache_dir, bool *loaded)
 {
+    if (loaded != nullptr)
+        *loaded = false;
     const std::string path =
         traceCachePath(app, frame_index, scale, cache_dir);
     if (path.empty())
@@ -40,8 +48,11 @@ cachedRenderFrame(const AppProfile &app, std::uint32_t frame_index,
     // instead of aborting a batch run.
     if (std::ifstream probe(path, std::ios::binary); probe.good()) {
         Result<FrameTrace> cached = tryReadTraceFile(path);
-        if (cached.ok())
+        if (cached.ok()) {
+            if (loaded != nullptr)
+                *loaded = true;
             return cached.take();
+        }
         warn("discarding unusable cached trace: %s",
              cached.error().toString().c_str());
         if (metricsActive())
@@ -50,9 +61,12 @@ cachedRenderFrame(const AppProfile &app, std::uint32_t frame_index,
     }
 
     FrameTrace trace = renderFrame(app, frame_index, scale);
-    // Same optimization-not-dependency rule on the write side: a
-    // missing cache directory or full disk costs the speedup, not
-    // the run.
+    // Same optimization-not-dependency rule on the write side: an
+    // uncreatable cache directory or full disk costs the speedup,
+    // not the run.
+    std::error_code ec;
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path(), ec);
     if (Result<Unit> written = tryWriteTraceFile(trace, path);
         !written.ok()) {
         warn("cannot refresh trace cache: %s",

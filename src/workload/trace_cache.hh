@@ -3,11 +3,14 @@
  * On-disk frame-trace cache.
  *
  * Rendering a frame costs far more than replaying it; when the same
- * frame set is swept repeatedly (bench iteration, calibration), the
- * generated traces can be cached on disk via trace_io.  Opt-in: set
- * GLLC_TRACE_CACHE=<dir> and every harness that renders through
- * cachedRenderFrame() reuses cached traces keyed by application,
- * frame index and scale.
+ * frame set is swept repeatedly (bench iteration, calibration, gllcd
+ * jobs over frames an earlier job rendered), the generated traces can
+ * be cached on disk via trace_io.  Harnesses opt in with
+ * GLLC_TRACE_CACHE=<dir>; gllcd workers use <store>/traces.  Files are
+ * named tr<hash:016x>.gltrc by the trace identity of their one frame
+ * (traceSetHash(), workload/trace_identity.hh), the same hash
+ * SweepJobSpec::traceHash() computes.  Writes are atomic renames, so
+ * processes and threads may share one cache directory.
  */
 
 #ifndef GLLC_WORKLOAD_TRACE_CACHE_HH
@@ -23,13 +26,18 @@ namespace gllc
 /**
  * Render a frame, using the trace cache directory if one is
  * configured (GLLC_TRACE_CACHE, or @p cache_dir when nonempty).
- * Falls back to plain rendering when caching is off; a cache miss
- * renders and then populates the cache.
+ * Falls back to plain rendering when caching is off.  A cache miss
+ * renders and then populates the cache, creating the directory; an
+ * unusable file (torn, corrupt, old format) is discarded with a
+ * warning, counted in trace.cache_discarded, and re-rendered.  When
+ * @p loaded is given it is set to whether the trace came from the
+ * cache.
  */
 FrameTrace cachedRenderFrame(const AppProfile &app,
                              std::uint32_t frame_index,
                              const RenderScale &scale,
-                             const std::string &cache_dir = "");
+                             const std::string &cache_dir = "",
+                             bool *loaded = nullptr);
 
 /** The cache file path a given frame would use ("" if caching off). */
 std::string traceCachePath(const AppProfile &app,

@@ -24,12 +24,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -49,6 +51,7 @@
 #include "service/daemon.hh"
 #include "service/job_journal.hh"
 #include "service/protocol.hh"
+#include "trace/trace_io.hh"
 #include "workload/app_profile.hh"
 
 using namespace gllc;
@@ -82,6 +85,102 @@ localPayload(const SweepJobSpec &spec)
     return os.str();
 }
 
+/** The "source" arg of every worker render span of one job trace. */
+std::vector<std::string>
+renderSources(const std::string &trace_dir, std::uint64_t job_id)
+{
+    std::ifstream in(trace_dir + "/job-" + std::to_string(job_id)
+                     + ".json");
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    Result<JsonValue> parsed = parseJson(buffer.str());
+    std::vector<std::string> sources;
+    if (!parsed.ok() || parsed.value().find("traceEvents") == nullptr)
+        return {"<no job trace>"};
+    for (const JsonValue &e :
+         parsed.value().find("traceEvents")->items()) {
+        if (e.find("cat") == nullptr || e.find("cat")->string() != "render")
+            continue;
+        const JsonValue *args = e.find("args");
+        const JsonValue *source =
+            args != nullptr ? args->find("source") : nullptr;
+        sources.push_back(source != nullptr ? source->string()
+                                            : "<no source>");
+    }
+    return sources;
+}
+
+/** A daemon-side counter's current value. */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    return MetricsRegistry::instance().snapshot().counter(name);
+}
+
+/** The pids of this process's children running the gllcd binary. */
+std::vector<pid_t>
+workerPids()
+{
+    const std::string worker_exe =
+        std::filesystem::canonical(GLLC_GLLCD_PATH).string();
+    std::vector<pid_t> pids;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc", ec)) {
+        const std::string name = entry.path().filename().string();
+        if (name.find_first_not_of("0123456789") != std::string::npos)
+            continue;
+        std::ifstream stat(entry.path() / "stat");
+        std::string line;
+        std::getline(stat, line);
+        const std::size_t paren = line.rfind(')');
+        if (paren == std::string::npos)
+            continue;
+        std::istringstream rest(line.substr(paren + 1));
+        char state = 0;
+        long ppid = 0;
+        rest >> state >> ppid;
+        std::error_code link_ec;
+        if (ppid == ::getpid()
+            && std::filesystem::read_symlink(entry.path() / "exe",
+                                             link_ec)
+                    .string()
+                == worker_exe)
+            pids.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+    return pids;
+}
+
+/** Every file in @p dir whose name marks it a trace temp file. */
+std::vector<std::string>
+traceTempFiles(const std::string &dir)
+{
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        if (entry.path().filename().string().find(".tmp.")
+            != std::string::npos)
+            files.push_back(entry.path().string());
+    }
+    return files;
+}
+
+/** Every *.gltrc file in @p dir. */
+std::vector<std::string>
+cachedTraceFiles(const std::string &dir)
+{
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        if (entry.path().extension() == ".gltrc")
+            files.push_back(entry.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
 /** Daemon + socket paths scoped to one test. */
 class ServiceTest : public ::testing::Test
 {
@@ -111,10 +210,16 @@ class ServiceTest : public ::testing::Test
             + std::to_string(::getpid()) + "_" + leaf;
     }
 
-    /** Start a daemon on a fresh Unix socket (no result store). */
+    /**
+     * Start a daemon on a fresh Unix socket and, when @p store_dir is
+     * given, an emptied result store (a store left by an earlier
+     * process with the same pid would turn fresh jobs into hits).
+     */
     SweepDaemon &
     startDaemon(const std::string &store_dir = "")
     {
+        if (!store_dir.empty())
+            std::filesystem::remove_all(store_dir);
         DaemonOptions options;
         options.socketPath = tempPath("sock");
         options.workers = 2;
@@ -141,6 +246,69 @@ class ServiceTest : public ::testing::Test
             ServiceClient::connectUnix(daemon_->socketPath());
         EXPECT_TRUE(client.ok()) << client.error().toString();
         return client.take();
+    }
+
+    /**
+     * Submit 4 jobs at once, 10 rounds, and check every payload
+     * against the in-process run; a job still running after 60 s
+     * ends the test binary (a wedged shard thread cannot be joined).
+     * @p fresh_each_round gives each round a new policy, so a store
+     * never answers for the workers.  Returns the jobs submitted.
+     */
+    unsigned
+    runConcurrentJobRounds(bool fresh_each_round)
+    {
+        constexpr unsigned kJobs = 4;
+        constexpr unsigned kRounds = 10;
+        const std::vector<std::string> policies{
+            "DRRIP+UCD", "NRU",      "GSPC+UCD",   "DRRIP",
+            "GSPC",      "SHiP-mem", "GS-DRRIP",   "NRU+UCD",
+            "GSPZTC",    "GSPZTC+TSE"};
+        std::vector<std::vector<SweepJobSpec>> specs(kRounds);
+        std::vector<std::vector<std::string>> expected(kRounds);
+        for (unsigned round = 0; round < kRounds; ++round) {
+            for (unsigned j = 0; j < kJobs; ++j) {
+                if (round > 0 && !fresh_each_round) {
+                    specs[round] = specs[0];
+                    expected[round] = expected[0];
+                    break;
+                }
+                SweepJobSpec spec = tinySpec();
+                spec.llcBytes = (4ull << 20) << j;
+                if (fresh_each_round)
+                    spec.policies = {policies[round]};
+                expected[round].push_back(localPayload(spec));
+                specs[round].push_back(std::move(spec));
+            }
+        }
+
+        for (unsigned round = 0; round < kRounds; ++round) {
+            std::vector<std::future<std::string>> payloads;
+            for (const SweepJobSpec &spec : specs[round]) {
+                payloads.push_back(
+                    std::async(std::launch::async, [this, spec] {
+                        ServiceClient client = connect();
+                        Result<SubmitOutcome> got = client.submit(spec);
+                        return got.ok() ? got.take().payload
+                                        : got.error().toString();
+                    }));
+            }
+            const auto deadline = std::chrono::steady_clock::now()
+                + std::chrono::seconds(60);
+            for (unsigned j = 0; j < kJobs; ++j) {
+                if (payloads[j].wait_until(deadline)
+                    != std::future_status::ready) {
+                    ADD_FAILURE() << "round " << round << ": job " << j
+                                  << " still running after 60 s";
+                    std::fflush(stdout);
+                    std::_Exit(1);
+                }
+                EXPECT_EQ(payloads[j].get(), expected[round][j])
+                    << "round " << round << ", job " << j;
+            }
+        }
+        EXPECT_EQ(daemon_->jobsCompleted(), kJobs * kRounds);
+        return kJobs * kRounds;
     }
 
     std::unique_ptr<SweepDaemon> daemon_;
@@ -621,61 +789,316 @@ TEST_F(ServiceTest, WorkerRendersEachFrameOncePerJob)
     EXPECT_EQ(worker_pids.count(static_cast<double>(::getpid())), 0u);
 }
 
+TEST_F(ServiceTest, SecondJobLoadsEveryFrameFromTheTraceCache)
+{
+    // Two jobs over the same frames with different policies and LLC
+    // sizes: the first renders and caches both frames under the
+    // store, the second loads them.
+    MetricsRegistry::instance().reset();
+    setMetricsActive(true);
+    const std::string store = tempPath("tc_store");
+    std::filesystem::remove_all(store);
+    DaemonOptions options;
+    options.workers = 1;
+    options.storeDir = store;
+    options.traceDir = tempPath("tc_traces");
+    startDaemonWith(std::move(options));
+
+    SweepJobSpec first = tinySpec();
+    SweepJobSpec second = tinySpec();
+    second.policies = {"NRU", "GSPC+UCD"};
+    second.llcBytes = 4ull << 20;
+    ServiceClient client = connect();
+    Result<SubmitOutcome> a = client.submit(first);
+    ASSERT_TRUE(a.ok()) << a.error().toString();
+    EXPECT_EQ(renderSources(tempPath("tc_traces"), a.value().header.jobId),
+              (std::vector<std::string>{"render", "render"}));
+    EXPECT_EQ(counterValue("gllcd.trace_cache.misses"), 2u);
+    EXPECT_EQ(counterValue("gllcd.trace_cache.hits"), 0u);
+
+    Result<SubmitOutcome> b = client.submit(second);
+    ASSERT_TRUE(b.ok()) << b.error().toString();
+    EXPECT_FALSE(b.value().header.cached);
+    EXPECT_EQ(b.value().header.quarantined, 0u);
+    EXPECT_EQ(b.value().payload, localPayload(second));
+    EXPECT_EQ(renderSources(tempPath("tc_traces"), b.value().header.jobId),
+              (std::vector<std::string>{"cache", "cache"}));
+    EXPECT_EQ(counterValue("gllcd.trace_cache.hits"),
+              second.frames.size());
+    EXPECT_EQ(counterValue("gllcd.trace_cache.misses"), 2u);
+
+    // One file per frame, named by the frame's one-frame traceHash.
+    const std::vector<std::string> files =
+        cachedTraceFiles(store + "/traces");
+    ASSERT_EQ(files.size(), 2u);
+    for (const SweepJobFrame &frame : second.frames) {
+        SweepJobSpec one = second;
+        one.frames = {frame};
+        char leaf[32];
+        std::snprintf(leaf, sizeof(leaf), "/tr%016llx.gltrc",
+                      static_cast<unsigned long long>(one.traceHash()));
+        EXPECT_EQ(std::count(files.begin(), files.end(),
+                             store + "/traces" + leaf),
+                  1)
+            << leaf;
+    }
+    setMetricsActive(false);
+    MetricsRegistry::instance().reset();
+}
+
+TEST_F(ServiceTest, CorruptCachedTraceIsReRenderedAndRewritten)
+{
+    MetricsRegistry::instance().reset();
+    setMetricsActive(true);
+    const std::string store = tempPath("corrupt_store");
+    std::filesystem::remove_all(store);
+    DaemonOptions options;
+    options.workers = 1;
+    options.storeDir = store;
+    startDaemonWith(std::move(options));
+
+    ServiceClient client = connect();
+    ASSERT_TRUE(client.submit(tinySpec()).ok());
+    const std::vector<std::string> files =
+        cachedTraceFiles(store + "/traces");
+    ASSERT_EQ(files.size(), 2u);
+    std::string original;
+    {
+        std::ifstream in(files[0], std::ios::binary);
+        original.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_FALSE(original.empty());
+    {
+        std::string flipped = original;
+        flipped[flipped.size() / 2] ^= 0x01;
+        std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+        out << flipped;
+    }
+    ASSERT_FALSE(tryReadTraceFile(files[0]).ok());
+
+    SweepJobSpec other = tinySpec();
+    other.policies = {"GSPC"};
+    Result<SubmitOutcome> outcome = client.submit(other);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+    EXPECT_EQ(outcome.value().payload, localPayload(other));
+    // The flipped frame rendered again; the intact one loaded.
+    EXPECT_EQ(counterValue("gllcd.trace_cache.misses"), 3u);
+    EXPECT_EQ(counterValue("gllcd.trace_cache.hits"), 1u);
+    ASSERT_TRUE(tryReadTraceFile(files[0]).ok());
+    std::string rewritten;
+    {
+        std::ifstream in(files[0], std::ios::binary);
+        rewritten.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    EXPECT_EQ(rewritten, original);
+    setMetricsActive(false);
+    MetricsRegistry::instance().reset();
+}
+
+TEST_F(ServiceTest, NoStoreMeansNoTraceCache)
+{
+    // --store "" turns the trace cache off too, and a worker ignores
+    // a GLLC_TRACE_CACHE it inherits: every frame of every job renders.
+    SweepJobSpec second = tinySpec();
+    second.policies = {"NRU"};
+    const std::vector<SweepJobSpec> specs{tinySpec(), second};
+    // Before GLLC_TRACE_CACHE is set: the in-process runs honour it.
+    const std::vector<std::string> expected{localPayload(specs[0]),
+                                            localPayload(specs[1])};
+    MetricsRegistry::instance().reset();
+    setMetricsActive(true);
+    const std::string inherited = tempPath("inherited_cache");
+    std::filesystem::remove_all(inherited);
+    ::setenv("GLLC_TRACE_CACHE", inherited.c_str(), 1);
+    DaemonOptions options;
+    options.workers = 1;
+    options.traceDir = tempPath("nostore_traces");
+    startDaemonWith(std::move(options));
+
+    ServiceClient client = connect();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        Result<SubmitOutcome> outcome = client.submit(specs[i]);
+        ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+        EXPECT_EQ(outcome.value().payload, expected[i]);
+        EXPECT_EQ(renderSources(tempPath("nostore_traces"),
+                                outcome.value().header.jobId),
+                  (std::vector<std::string>{"render", "render"}));
+    }
+    ::unsetenv("GLLC_TRACE_CACHE");
+    EXPECT_EQ(counterValue("gllcd.trace_cache.misses"), 4u);
+    EXPECT_EQ(counterValue("gllcd.trace_cache.hits"), 0u);
+    EXPECT_FALSE(std::filesystem::exists(inherited));
+    EXPECT_FALSE(std::filesystem::exists("traces"));
+    setMetricsActive(false);
+    MetricsRegistry::instance().reset();
+}
+
+TEST_F(ServiceTest, WorkersInheritOnlyStdio)
+{
+    // A daemon with an event log and a journal open: its workers must
+    // hold exactly fds 0, 1 and 2.  worker.linger keeps each worker
+    // alive past its last cell, so the test can look at it.
+    const std::string events_path = tempPath("fd_events.jsonl");
+    const std::string journal_path = tempPath("fd_journal.wal");
+    std::filesystem::remove(journal_path);
+    DaemonOptions options;
+    options.workers = 1;
+    options.eventLogPath = events_path;
+    options.journalPath = journal_path;
+    startDaemonWith(std::move(options));
+
+    const auto fd_links = [](pid_t pid) {
+        std::map<int, std::string> links;
+        std::error_code ec;
+        const std::string dir = "/proc/" + std::to_string(pid) + "/fd";
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir, ec)) {
+            std::error_code link_ec;
+            links[std::stoi(entry.path().filename().string())] =
+                std::filesystem::read_symlink(entry.path(), link_ec)
+                    .string();
+        }
+        return links;
+    };
+    // The daemon really holds the files a worker must not inherit.
+    std::set<std::string> daemon_files;
+    for (const auto &[fd, link] : fd_links(::getpid()))
+        daemon_files.insert(link);
+    ASSERT_EQ(daemon_files.count(
+                  std::filesystem::canonical(events_path).string()),
+              1u);
+    ASSERT_EQ(daemon_files.count(
+                  std::filesystem::canonical(journal_path).string()),
+              1u);
+
+    ::setenv("GLLC_FAULT", "worker.linger:p=1", 1);
+    std::future<Result<SubmitOutcome>> submitted =
+        std::async(std::launch::async, [this] {
+            ServiceClient client = connect();
+            return client.submit(tinySpec());
+        });
+    // Sample the worker until its reap; the last live sample is from
+    // its linger phase, long after exec and its last cell.
+    std::map<pid_t, std::map<int, std::string>> last;
+    std::vector<std::string> leaked;
+    while (submitted.wait_for(std::chrono::milliseconds(20))
+           != std::future_status::ready) {
+        for (const pid_t pid : workerPids()) {
+            const std::map<int, std::string> links = fd_links(pid);
+            if (links.count(0) == 0)
+                continue;  // exiting
+            last[pid] = links;
+            for (const auto &[fd, link] : links) {
+                if (daemon_files.count(link) != 0 && fd > 2)
+                    leaked.push_back(std::to_string(fd) + " -> " + link);
+            }
+        }
+    }
+    ::unsetenv("GLLC_FAULT");
+    Result<SubmitOutcome> outcome = submitted.get();
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+
+    EXPECT_TRUE(leaked.empty()) << leaked.front();
+    ASSERT_EQ(last.size(), 1u);  // one worker, spawned once
+    std::vector<int> fds;
+    for (const auto &[fd, link] : last.begin()->second)
+        fds.push_back(fd);
+    EXPECT_EQ(fds, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_F(ServiceTest, TraceTempFilesOfKilledWorkersAreRemoved)
+{
+    // A writer killed between creating its temp file and renaming it
+    // leaves <name>.tmp.<pid>.<n> behind.  The daemon removes those
+    // of an earlier run when it starts, and those of a worker it
+    // reaps after a kill or a crash.
+    const std::string store = tempPath("tmp_store");
+    std::filesystem::remove_all(store);
+    const std::string traces = store + "/traces";
+    std::filesystem::create_directories(traces);
+    const auto touch = [](const std::string &path) {
+        std::ofstream(path, std::ios::binary) << "partial";
+    };
+    touch(traces + "/trstale.gltrc.tmp.1.0");
+    touch(traces + "/trkept.gltrc");
+    DaemonOptions options;
+    options.workers = 1;
+    options.storeDir = store;
+    startDaemonWith(std::move(options));
+    EXPECT_TRUE(traceTempFiles(traces).empty());
+    EXPECT_TRUE(std::filesystem::exists(traces + "/trkept.gltrc"));
+
+    // worker.linger: the worker answers every cell, then ignores its
+    // stdin EOF until the reap deadline SIGKILLs it.  A temp file
+    // under its pid stands in for the write it was killed in.
+    ::setenv("GLLC_FAULT", "worker.linger:p=1", 1);
+    std::future<Result<SubmitOutcome>> submitted =
+        std::async(std::launch::async, [this] {
+            ServiceClient client = connect();
+            return client.submit(tinySpec());
+        });
+    std::string planted;
+    while (submitted.wait_for(std::chrono::milliseconds(20))
+           != std::future_status::ready) {
+        const std::vector<pid_t> pids = workerPids();
+        if (planted.empty() && pids.size() == 1) {
+            planted = traces + "/trkilled.gltrc.tmp."
+                + std::to_string(pids.front()) + ".0";
+            touch(planted);
+        }
+    }
+    ::unsetenv("GLLC_FAULT");
+    Result<SubmitOutcome> outcome = submitted.get();
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+    ASSERT_FALSE(planted.empty());
+    EXPECT_FALSE(std::filesystem::exists(planted));
+    EXPECT_TRUE(traceTempFiles(traces).empty());
+    EXPECT_EQ(cachedTraceFiles(traces).size(), 3u);  // 2 frames + kept
+}
+
 TEST_F(ServiceTest, ConcurrentJobsOnTwoWorkersNeverHang)
 {
     // Each job's two shard threads fork their workers concurrently.
     // A worker that inherits a sibling's stdin write end keeps the
     // sibling from seeing EOF; two such workers wait on each other
     // and their reaps, and with them the job, never return.
-    constexpr unsigned kJobs = 4;
-    constexpr unsigned kRounds = 10;
-    std::vector<SweepJobSpec> specs;
-    std::vector<std::string> expected;
-    for (unsigned j = 0; j < kJobs; ++j) {
-        SweepJobSpec spec = tinySpec();
-        spec.llcBytes = (4ull << 20) << j;
-        expected.push_back(localPayload(spec));
-        specs.push_back(std::move(spec));
-    }
-
     startDaemon();
-    for (unsigned round = 0; round < kRounds; ++round) {
-        std::vector<std::future<std::string>> payloads;
-        for (const SweepJobSpec &spec : specs) {
-            payloads.push_back(std::async(std::launch::async, [this, spec] {
-                ServiceClient client = connect();
-                Result<SubmitOutcome> got = client.submit(spec);
-                return got.ok() ? got.take().payload
-                                : got.error().toString();
-            }));
-        }
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(60);
-        for (unsigned j = 0; j < kJobs; ++j) {
-            if (payloads[j].wait_until(deadline)
-                != std::future_status::ready) {
-                // A wedged shard thread can never be joined, so the
-                // only way to report the hang is to leave now.
-                ADD_FAILURE() << "round " << round << ": job " << j
-                              << " still running after 60 s";
-                std::fflush(stdout);
-                std::_Exit(1);
-            }
-            EXPECT_EQ(payloads[j].get(), expected[j])
-                << "round " << round << ", job " << j;
-        }
-    }
-    EXPECT_EQ(daemon_->jobsCompleted(), kJobs * kRounds);
+    runConcurrentJobRounds(false);
     EXPECT_EQ(daemon_->workerCrashes(), 0u);
+}
+
+TEST_F(ServiceTest, ConcurrentJobsSharingATraceCacheNeverHang)
+{
+    // The same stress with a store: every round's jobs are fresh
+    // (a new policy per round), so each runs its workers, and all of
+    // them load the two frames from the one shared trace cache.
+    MetricsRegistry::instance().reset();
+    setMetricsActive(true);
+    const std::string store = tempPath("stress_store");
+    startDaemon(store);
+    const unsigned jobs = runConcurrentJobRounds(true);
+    EXPECT_EQ(daemon_->workerCrashes(), 0u);
+    EXPECT_EQ(counterValue("gllcd.trace_cache.misses"), 2u);
+    EXPECT_EQ(counterValue("gllcd.trace_cache.hits"), 2u * jobs - 2u);
+    EXPECT_EQ(cachedTraceFiles(store + "/traces").size(), 2u);
+    setMetricsActive(false);
+    MetricsRegistry::instance().reset();
 }
 
 TEST_F(ServiceTest, EventLogRecordsLifecycleAndQuarantines)
 {
     const std::string events_path = tempPath("events.jsonl");
+    // The log appends: a file left by an earlier process with the
+    // same pid would add its events to this test's count.
+    std::filesystem::remove(events_path);
     DaemonOptions options;
     options.workers = 2;
     options.eventLogPath = events_path;
     options.storeDir = tempPath("ev_store");
+    std::filesystem::remove_all(options.storeDir);
     startDaemonWith(std::move(options));
 
     // One clean job, one cache hit, then a quarantining job.
@@ -729,6 +1152,9 @@ TEST_F(ServiceTest, LingeringWorkerIsKilledAtTheReapDeadline)
     const SweepJobSpec spec = tinySpec();
     const std::string expected = localPayload(spec);
     const std::string events_path = tempPath("linger_events.jsonl");
+    // The log appends: a file left by an earlier process with the
+    // same pid would add its events to this test's count.
+    std::filesystem::remove(events_path);
     DaemonOptions options;
     options.workers = 1;
     options.eventLogPath = events_path;

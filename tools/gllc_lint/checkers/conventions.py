@@ -37,6 +37,19 @@ CONN_DEADLINE_ALLOWLIST = {
     Path("src/service/worker.cc"),
 }
 
+# Calls that create an fd a child could inherit, or a child itself.
+# The lookbehind skips members and qualified names (rng.fork(),
+# Foo::accept()) but not the global-scope spelling ::socket().
+BARE_FD = re.compile(
+    r"(?<![\w.>:])(?:::)?(?:pipe2?|socket|socketpair|accept4?|v?fork|"
+    r"posix_spawnp?)\s*\(")
+
+# The one service file allowed to make those calls: the helper that
+# creates every socket close-on-exec and spawns every worker.
+BARE_FD_ALLOWLIST = {
+    Path("src/service/fd_hygiene.cc"),
+}
+
 
 @register
 class BareAssert:
@@ -125,6 +138,35 @@ class ConnDeadline:
                     "(readFrame/writeFrame with timeout_ms, "
                     "readSomeDeadline/writeAllDeadline) so a slow "
                     "client cannot pin this thread")
+
+
+@register
+class BareFd:
+    """The daemon forks workers from concurrent shard threads; any fd
+    created without close-on-exec leaks into whichever worker forks
+    next, and a leaked pipe end can keep a sibling from ever seeing
+    EOF.  So src/service/ creates sockets, pipes and children only
+    through service/fd_hygiene.hh."""
+
+    name = "bare-fd"
+    description = ("bare pipe/socket/accept/fork in src/service/; use "
+                   "the helpers in service/fd_hygiene.hh")
+
+    def check_file(self, ctx):
+        if len(ctx.rel.parts) < 2 or ctx.rel.parts[:2] != (
+                "src", "service"):
+            return
+        if ctx.rel in BARE_FD_ALLOWLIST:
+            return
+        for lineno, line in enumerate(ctx.code_lines, start=1):
+            match = BARE_FD.search(line)
+            if match:
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    f"bare {match.group(0).strip(':( ')}() in the "
+                    "service layer; use openStreamSocket/"
+                    "acceptConnection/spawnPiped (service/"
+                    "fd_hygiene.hh) so no fd leaks into a worker")
 
 
 @register

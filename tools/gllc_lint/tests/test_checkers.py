@@ -117,6 +117,41 @@ class TestConventions(LintFixture):
                    "    writeAllDeadline(fd, p, n, 100); }\n")
         self.assertEqual(self.run_checker("conn-deadline"), [])
 
+    def test_bare_fd_flags_fd_creation_in_service(self):
+        self.write("src/service/worker.cc",
+                   "void f(int l) { int p[2];\n"
+                   "    ::pipe2(p, 0);\n"
+                   "    pid_t c = fork();\n"
+                   "    int s = ::socket(AF_UNIX, SOCK_STREAM, 0);\n"
+                   "    int a = accept(l, nullptr, nullptr);\n"
+                   "    int b = ::accept4(l, nullptr, nullptr, 0); }\n")
+        findings = self.run_checker("bare-fd")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/service/worker.cc", n)
+                          for n in (2, 3, 4, 5, 6)])
+        self.assertIn("pipe2()", findings[0].message)
+
+    def test_bare_fd_allowlists_and_scope(self):
+        raw = "void f() { int p[2]; ::pipe(p); fork(); }\n"
+        # The helper itself is exempt; so is everything outside
+        # src/service/.
+        self.write("src/service/fd_hygiene.cc", raw)
+        self.write("src/common/io.cc", raw)
+        self.write("tests/t.cc", raw)
+        self.assertEqual(self.run_checker("bare-fd"), [])
+
+    def test_bare_fd_ignores_methods_and_helpers(self):
+        self.write("src/service/daemon.cc",
+                   "void f() { rng.fork(1);\n"
+                   "    acceptLoop(fd);\n"
+                   "    Daemon::accept(fd);\n"
+                   "    int s = openStreamSocket(AF_UNIX);\n"
+                   "    int c = acceptConnection(s);\n"
+                   "    auto w = spawnPiped(exe, argv);\n"
+                   "    // fork() in a comment\n"
+                   "    const char *m = \"socket() failed\"; }\n")
+        self.assertEqual(self.run_checker("bare-fd"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",

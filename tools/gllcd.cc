@@ -9,14 +9,16 @@
  *         [--max-queue N] [--tenant-quota N]
  *         [--conn-timeout-ms N] [--max-conns N]
  *         [--journal PATH] [--recover]
- *   gllcd --worker            # internal: cell worker on stdin/stdout
+ *   gllcd --worker [DIR]      # internal: cell worker on stdin/stdout,
+ *                             # caching frame traces in DIR
  *
  * Serves sweep jobs per src/service/protocol.hh until SIGINT or
  * SIGTERM.  --port 0 binds an ephemeral loopback port; --print-port
  * writes each bound loopback port to stdout, one per line (the TCP
  * service port first if any, then the metrics port if any), for
  * scripts to parse.  --store enables the content-addressed result
- * cache.
+ * cache and, in its traces/ subdirectory, the frame-trace cache the
+ * workers share (--store "" turns both off).
  *
  * Telemetry plane:
  *   --metrics-port N   loopback HTTP GET /metrics (Prometheus text
@@ -83,7 +85,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--worker")
-            return runSweepWorker();
+            return runSweepWorker(i + 1 < argc ? argv[i + 1] : "");
         if (flag == "--print-port") {
             print_port = true;
             continue;
