@@ -121,7 +121,6 @@ runHotpathBench(const HotpathOptions &options)
     report.syntheticAccesses = options.syntheticAccesses;
     report.realFrames = options.realFrames;
     report.repeats = std::max<std::uint32_t>(1, options.repeats);
-    report.genericPath = options.genericPath;
 
     const RenderScale scale = scaleFromEnv();
     report.scaleLinear = scale.linear;
@@ -140,8 +139,6 @@ runHotpathBench(const HotpathOptions &options)
 
     const LlcConfig config =
         scaledLlcConfig(8ull << 20, scale.linear * scale.linear);
-    RunOptions run_options;
-    run_options.forceGenericPath = options.genericPath;
 
     for (const std::string &name : names) {
         const PolicySpec spec = policySpec(name);
@@ -153,8 +150,7 @@ runHotpathBench(const HotpathOptions &options)
             std::uint64_t rep_accesses = 0;
             for (const FrameTrace &trace : traces) {
                 const auto start = std::chrono::steady_clock::now();
-                const RunResult r =
-                    runTrace(trace, spec, config, run_options);
+                const RunResult r = runTrace(trace, spec, config);
                 const double secs = secondsSince(start);
                 cell_ms.push_back(secs * 1e3);
                 rep_seconds += secs;
@@ -182,6 +178,8 @@ runHotpathBench(const HotpathOptions &options)
 void
 writeHotpathJson(std::ostream &os, const HotpathReport &report)
 {
+    // "generic_path" stays in the v1 schema, always false: the LLC
+    // has one access path.
     os << "{\n"
        << "  \"schema\": \"" << kHotpathSchema << "\",\n"
        << "  \"config\": {\n"
@@ -190,8 +188,7 @@ writeHotpathJson(std::ostream &os, const HotpathReport &report)
        << ",\n"
        << "    \"real_frames\": " << report.realFrames << ",\n"
        << "    \"repeats\": " << report.repeats << ",\n"
-       << "    \"generic_path\": "
-       << (report.genericPath ? "true" : "false") << "\n"
+       << "    \"generic_path\": false\n"
        << "  },\n"
        << "  \"policies\": [\n";
     for (std::size_t i = 0; i < report.policies.size(); ++i) {
@@ -213,9 +210,7 @@ writeHotpathJson(std::ostream &os, const HotpathReport &report)
 void
 writeHotpathTable(std::ostream &os, const HotpathReport &report)
 {
-    os << "=== replay hot path ("
-       << (report.genericPath ? "generic" : "specialized")
-       << " path, scale " << report.scaleLinear << ", "
+    os << "=== replay hot path (scale " << report.scaleLinear << ", "
        << report.syntheticAccesses << " synthetic + "
        << report.realFrames << " real frame(s), " << report.repeats
        << " repeat(s)) ===\n";

@@ -32,7 +32,7 @@ namespace gllc
 /** Schema identifier stamped into the report JSON. */
 inline constexpr const char *kHotpathSchema = "gllc-hotpath-v1";
 
-/** What to run: traces, repetition count, path selection. */
+/** What to run: traces and repetition count. */
 struct HotpathOptions
 {
     /** Length of the pinned synthetic trace. */
@@ -49,12 +49,6 @@ struct HotpathOptions
 
     /** Policies to measure; empty = every registered base policy. */
     std::vector<std::string> policies;
-
-    /**
-     * Measure the generic (virtual-observer) access path instead of
-     * the specialized one; for A/B comparisons.
-     */
-    bool genericPath = false;
 };
 
 /** Measured throughput of one policy across all traces and repeats. */
@@ -81,8 +75,7 @@ struct HotpathPolicyResult
 
     /**
      * totalMisses() summed over traces on the first repeat — a
-     * determinism fingerprint, identical on every host and on both
-     * access paths.
+     * determinism fingerprint, identical on every host.
      */
     std::uint64_t misses = 0;
 };
@@ -94,7 +87,6 @@ struct HotpathReport
     std::size_t syntheticAccesses = 0;
     std::uint32_t realFrames = 0;
     std::uint32_t repeats = 0;
-    bool genericPath = false;
     std::vector<HotpathPolicyResult> policies;
 };
 

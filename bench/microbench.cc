@@ -8,7 +8,6 @@
  *
  * Flags:
  *   --json <path>      write the machine-readable report
- *   --generic          measure the generic (virtual-observer) path
  *   --accesses <n>     synthetic trace length (default 2000000)
  *   --repeats <n>      timed repeats per (trace, policy) cell
  *   --real-frames <n>  cached real frames per policy (default 1)
@@ -59,8 +58,6 @@ main(int argc, char **argv)
         };
         if (flag == "--json") {
             json_path = need_value();
-        } else if (flag == "--generic") {
-            options.genericPath = true;
         } else if (flag == "--accesses") {
             options.syntheticAccesses =
                 static_cast<std::size_t>(parseCount(flag,

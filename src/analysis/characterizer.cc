@@ -66,12 +66,6 @@ Characterizer::startZLifetime(BlockMeta &meta)
 }
 
 void
-Characterizer::bindFrames(std::size_t frames)
-{
-    frameMeta_.assign(frames, BlockMeta{});
-}
-
-void
 Characterizer::installInto(BlockMeta &meta, const MemAccess &access)
 {
     meta = BlockMeta{};
@@ -89,20 +83,6 @@ Characterizer::installInto(BlockMeta &meta, const MemAccess &access)
       default:
         break;
     }
-}
-
-void
-Characterizer::onMiss(const MemAccess &access)
-{
-    // The cache always fills on a (non-bypassed) miss.
-    installInto(meta_[blockNumber(access.addr)], access);
-}
-
-void
-Characterizer::onHit(const MemAccess &access)
-{
-    hitBlock(meta_[blockNumber(access.addr)],
-             policyStream(access.stream));
 }
 
 void
@@ -157,12 +137,6 @@ Characterizer::hitBlock(BlockMeta &meta, PolicyStream ps)
             ++meta.hits;
         return;
     }
-}
-
-void
-Characterizer::onEvict(Addr block_addr)
-{
-    meta_.erase(blockNumber(block_addr));
 }
 
 } // namespace gllc

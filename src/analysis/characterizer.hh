@@ -2,9 +2,11 @@
  * @file
  * Policy-independent reuse characterization (Section 2.3).
  *
- * Attached to a BankedLlc as an observer, the Characterizer follows
- * block lifetimes to reproduce the paper's analysis figures under
- * any replacement policy:
+ * Passed to BankedLlc::access<>() as its observer, the Characterizer
+ * follows block lifetimes to reproduce the paper's analysis figures
+ * under any replacement policy.  Block metadata lives in a flat
+ * array indexed by the LLC frame the access path names, so no
+ * per-access hashing happens:
  *
  *  - the RT-bit protocol: every render-target block is tagged; a
  *    texture-sampler hit to a tagged block is an inter-stream reuse
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "cache/banked_llc.hh"
-#include "common/hash.hh"
 
 namespace gllc
 {
@@ -67,29 +68,15 @@ struct Characterization
 };
 
 /**
- * The observer that produces a Characterization.  Declared final so
- * the replay fast path (BankedLlc::accessHot specialized on this
- * type) can devirtualize the hook calls; the algorithm is identical
- * on both paths.
+ * The observer that produces a Characterization (the frame-indexed
+ * hooks of NullAccessObserver).
  */
-class Characterizer final : public LlcObserver
+class Characterizer
 {
   public:
-    void onHit(const MemAccess &access) override;
-    void onMiss(const MemAccess &access) override;
-    void onEvict(Addr block_addr) override;
+    /** @param frames the observed LLC's geometry().totalBlocks() */
+    explicit Characterizer(std::size_t frames) : frameMeta_(frames) {}
 
-    /**
-     * Switch to frame-indexed metadata for a BankedLlc::accessHot
-     * replay: block metadata lives in a flat array indexed by the
-     * global frame index the hot path passes to the *At hooks, so no
-     * per-access hashing happens at all.  Bind once per replay with
-     * the cache's totalBlocks(); the produced Characterization is
-     * identical to the hashed observer path.
-     */
-    void bindFrames(std::size_t frames);
-
-    /** Frame-indexed hooks for accessHot<> (see NullLlcObserver). */
     void
     onHitAt(const MemAccess &access, std::size_t frame)
     {
@@ -101,6 +88,8 @@ class Characterizer final : public LlcObserver
     {
         installInto(frameMeta_[frame], access);
     }
+
+    void onBypass(const MemAccess &) {}
 
     void
     onEvictAt(Addr, std::size_t)
@@ -122,122 +111,6 @@ class Characterizer final : public LlcObserver
         std::uint8_t hits = 0;  ///< epoch index within the lifetime
     };
 
-    /**
-     * Flat linear-probing map from block number to BlockMeta.  The
-     * table only ever holds the LLC's resident blocks (installed on
-     * fill, erased on evict), so it stays small and every lookup is
-     * one or two contiguous probes — the node-per-entry map this
-     * replaces dominated replay time.  Deletion uses tombstones,
-     * reclaimed on growth; the accumulated Characterization is
-     * independent of table layout, so results are unchanged.
-     */
-    class BlockMetaTable
-    {
-      public:
-        BlockMetaTable() { rebuild(kMinSlots); }
-
-        /** Find-or-default-insert, as unordered_map::operator[]. */
-        BlockMeta &
-        operator[](Addr key)
-        {
-            maybeGrow();
-            std::size_t i = indexOf(key);
-            std::size_t first_tomb = kNoSlot;
-            while (true) {
-                Slot &slot = slots_[i];
-                if (slot.state == State::Full && slot.key == key)
-                    return slot.meta;
-                if (slot.state == State::Empty) {
-                    Slot &dest = first_tomb == kNoSlot
-                        ? slot
-                        : slots_[first_tomb];
-                    if (first_tomb != kNoSlot)
-                        --tombstones_;
-                    dest.key = key;
-                    dest.meta = BlockMeta{};
-                    dest.state = State::Full;
-                    ++size_;
-                    return dest.meta;
-                }
-                if (slot.state == State::Tombstone
-                    && first_tomb == kNoSlot)
-                    first_tomb = i;
-                i = (i + 1) & mask_;
-            }
-        }
-
-        void
-        erase(Addr key)
-        {
-            std::size_t i = indexOf(key);
-            while (true) {
-                Slot &slot = slots_[i];
-                if (slot.state == State::Full && slot.key == key) {
-                    slot.state = State::Tombstone;
-                    --size_;
-                    ++tombstones_;
-                    return;
-                }
-                if (slot.state == State::Empty)
-                    return;
-                i = (i + 1) & mask_;
-            }
-        }
-
-      private:
-        enum class State : std::uint8_t { Empty, Full, Tombstone };
-
-        struct Slot
-        {
-            Addr key = 0;
-            BlockMeta meta;
-            State state = State::Empty;
-        };
-
-        static constexpr std::size_t kMinSlots = 1024;
-        static constexpr std::size_t kNoSlot =
-            ~static_cast<std::size_t>(0);
-
-        std::size_t indexOf(Addr key) const
-        {
-            return static_cast<std::size_t>(mix64(key)) & mask_;
-        }
-
-        void
-        maybeGrow()
-        {
-            // Keep live + tombstone occupancy under 70% so probe
-            // chains stay short; growing rehashes tombstones away.
-            if ((size_ + tombstones_) * 10 < slots_.size() * 7)
-                return;
-            rebuild(size_ * 10 >= slots_.size() * 5
-                        ? slots_.size() * 2
-                        : slots_.size());
-        }
-
-        void
-        rebuild(std::size_t new_slots)
-        {
-            std::vector<Slot> old = std::move(slots_);
-            slots_.assign(new_slots, Slot{});
-            mask_ = new_slots - 1;
-            tombstones_ = 0;
-            for (const Slot &slot : old) {
-                if (slot.state != State::Full)
-                    continue;
-                std::size_t i = indexOf(slot.key);
-                while (slots_[i].state == State::Full)
-                    i = (i + 1) & mask_;
-                slots_[i] = slot;
-            }
-        }
-
-        std::vector<Slot> slots_;
-        std::size_t mask_ = 0;
-        std::size_t size_ = 0;
-        std::size_t tombstones_ = 0;
-    };
-
     /** Begin a texture lifetime for @p meta (enters E0). */
     void startTexLifetime(BlockMeta &meta);
 
@@ -250,10 +123,7 @@ class Characterizer final : public LlcObserver
     /** Reset @p meta for the lifetime the filling @p access starts. */
     void installInto(BlockMeta &meta, const MemAccess &access);
 
-    /** Per-resident-block metadata, keyed by block number. */
-    BlockMetaTable meta_;
-
-    /** Frame-indexed metadata for accessHot replays (bindFrames). */
+    /** Per-frame metadata of the resident block. */
     std::vector<BlockMeta> frameMeta_;
 
     Characterization stats_;

@@ -1,7 +1,5 @@
 #include "analysis/occupancy.hh"
 
-#include <unordered_map>
-
 #include "cache/policy/belady.hh"
 #include "common/logging.hh"
 
@@ -12,32 +10,39 @@ namespace
 {
 
 /** Observer maintaining per-stream resident block counts. */
-class OccupancyObserver : public LlcObserver
+class OccupancyObserver
 {
   public:
+    /** @param frames the observed LLC's geometry().totalBlocks() */
+    explicit OccupancyObserver(std::size_t frames) : owner_(frames) {}
+
     void
-    onMiss(const MemAccess &access) override
+    onMissAt(const MemAccess &access, std::size_t frame)
     {
-        // The cache will fill this block.
-        setOwner(blockNumber(access.addr), access.stream);
+        // The cache will fill this frame.
+        owner_[frame] = access.stream;
+        ++counts_[static_cast<std::size_t>(access.stream)];
     }
 
     void
-    onHit(const MemAccess &access) override
+    onHitAt(const MemAccess &access, std::size_t frame)
     {
         // Ownership follows use: a texture hit to a render target
         // re-attributes the block (dynamic texturing).
-        setOwner(blockNumber(access.addr), access.stream);
+        StreamType &owner = owner_[frame];
+        if (owner == access.stream)
+            return;
+        --counts_[static_cast<std::size_t>(owner)];
+        owner = access.stream;
+        ++counts_[static_cast<std::size_t>(owner)];
     }
 
+    void onBypass(const MemAccess &) {}
+
     void
-    onEvict(Addr block_addr) override
+    onEvictAt(Addr, std::size_t frame)
     {
-        const auto it = owner_.find(blockNumber(block_addr));
-        if (it != owner_.end()) {
-            --counts_[static_cast<std::size_t>(it->second)];
-            owner_.erase(it);
-        }
+        --counts_[static_cast<std::size_t>(owner_[frame])];
     }
 
     const std::array<std::uint32_t, kNumStreams> &
@@ -47,22 +52,8 @@ class OccupancyObserver : public LlcObserver
     }
 
   private:
-    void
-    setOwner(Addr block, StreamType stream)
-    {
-        const auto it = owner_.find(block);
-        if (it != owner_.end()) {
-            if (it->second == stream)
-                return;
-            --counts_[static_cast<std::size_t>(it->second)];
-            it->second = stream;
-        } else {
-            owner_.emplace(block, stream);
-        }
-        ++counts_[static_cast<std::size_t>(stream)];
-    }
-
-    std::unordered_map<Addr, StreamType> owner_;
+    /** Owning stream of each frame's resident block. */
+    std::vector<StreamType> owner_;
     std::array<std::uint32_t, kNumStreams> counts_{};
 };
 
@@ -80,8 +71,7 @@ trackOccupancy(const FrameTrace &trace, const PolicySpec &spec,
         config.uncachedDisplay = true;
     BankedLlc llc(config, spec.factory);
 
-    OccupancyObserver observer;
-    llc.setObserver(&observer);
+    OccupancyObserver observer(llc.geometry().totalBlocks());
 
     std::vector<std::uint64_t> oracle;
     if (spec.needsOracle)
@@ -93,7 +83,7 @@ trackOccupancy(const FrameTrace &trace, const PolicySpec &spec,
     std::vector<OccupancySample> samples;
     for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
         llc.access(trace.accesses[i], i,
-                   spec.needsOracle ? oracle[i] : kNever);
+                   spec.needsOracle ? oracle[i] : kNever, observer);
         const bool last = (i + 1 == trace.accesses.size());
         if (((i + 1) % period == 0 && samples.size() + 1 < sample_count)
             || last) {

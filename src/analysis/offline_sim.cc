@@ -5,7 +5,6 @@
 
 #include "cache/policy/belady.hh"
 #include "common/audit.hh"
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -17,146 +16,33 @@ namespace gllc
 namespace
 {
 
-/** GLLC_NO_FASTPATH=1 disables the specialized path process-wide. */
-bool
-fastPathDisabledByEnv()
-{
-    static const bool disabled = envInt("GLLC_NO_FASTPATH", 0) != 0;
-    return disabled;
-}
-
 /**
- * Accesses per inner-loop chunk on the fast path.  Fault-site and
- * collection bookkeeping happen at chunk boundaries; the inner loop
- * is pure access servicing.
- */
-constexpr std::size_t kReplayChunk = 4096;
-
-/**
- * The specialized replay loop.  All per-replay mode flags are
- * template parameters, so each instantiation's inner loop carries no
- * disabled-feature branches and calls the Characterizer hooks
- * directly (devirtualized: the class is final).
+ * The replay loop: service accesses [0, count) in order.
  *
- * @tparam kUcd     uncached-displayable-color bypass configured
- * @tparam kOracle  policy consumes Belady next-use indices
- * @tparam kDram    collect the DRAM-bound access trace
+ * @param next_use Belady next-use index per access, or nullptr
+ * @param dram     receives the DRAM-bound traffic, or nullptr
  */
-template <bool kUcd, bool kOracle, bool kDram>
 void
-replayHot(BankedLlc &llc, const FrameTrace &trace,
-          const std::vector<std::uint64_t> &oracle,
-          Characterizer &characterizer, std::size_t stop_at,
-          RunResult &result)
+replay(BankedLlc &llc, const MemAccess *accesses, std::size_t count,
+       const std::uint64_t *next_use, Characterizer &characterizer,
+       std::vector<MemAccess> *dram)
 {
-    characterizer.bindFrames(llc.geometry().totalBlocks());
-    const MemAccess *accesses = trace.accesses.data();
-    const std::size_t limit =
-        std::min(stop_at, trace.accesses.size());
-    for (std::size_t begin = 0; begin < limit;
-         begin += kReplayChunk) {
-        const std::size_t end =
-            std::min(begin + kReplayChunk, limit);
-        for (std::size_t i = begin; i < end; ++i) {
-            const MemAccess &a = accesses[i];
-            const std::uint64_t next_use =
-                kOracle ? oracle[i] : kNever;
-            const LlcAccessResult r =
-                llc.accessHot<kUcd>(a, i, next_use, characterizer);
-            if (kDram) {
-                if (!r.hit) {
-                    result.dramTrace.emplace_back(a.addr, a.stream,
-                                                  a.isWrite,
-                                                  a.cycle);
-                }
-                if (r.writeback) {
-                    result.dramTrace.emplace_back(r.writebackAddr,
-                                                  StreamType::Other,
-                                                  true, a.cycle);
-                }
-            }
-        }
-    }
-    if (stop_at < trace.accesses.size())
-        throwInjectedFault(FaultSite::SimAccess);
-}
-
-/** Resolve the three runtime mode flags into one instantiation. */
-void
-replayHotDispatch(BankedLlc &llc, const FrameTrace &trace,
-                  const std::vector<std::uint64_t> &oracle,
-                  Characterizer &characterizer, std::size_t stop_at,
-                  bool ucd, bool use_oracle, bool dram,
-                  RunResult &result)
-{
-    const unsigned mode = (ucd ? 4u : 0u) | (use_oracle ? 2u : 0u)
-        | (dram ? 1u : 0u);
-    switch (mode) {
-      case 0:
-        replayHot<false, false, false>(llc, trace, oracle,
-                                       characterizer, stop_at,
-                                       result);
-        break;
-      case 1:
-        replayHot<false, false, true>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 2:
-        replayHot<false, true, false>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 3:
-        replayHot<false, true, true>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      case 4:
-        replayHot<true, false, false>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 5:
-        replayHot<true, false, true>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      case 6:
-        replayHot<true, true, false>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      default:
-        replayHot<true, true, true>(llc, trace, oracle,
-                                    characterizer, stop_at, result);
-        break;
-    }
-}
-
-/** The generic replay loop (virtual observer dispatch, audit, log). */
-void
-replayGeneric(BankedLlc &llc, const FrameTrace &trace,
-              const std::vector<std::uint64_t> &oracle,
-              bool use_oracle, std::size_t inject_at,
-              const RunOptions &options, RunResult &result)
-{
-    for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
-        if (i == inject_at)
-            throwInjectedFault(FaultSite::SimAccess);
-        const MemAccess &a = trace.accesses[i];
-        const std::uint64_t next_use = use_oracle ? oracle[i] : kNever;
-        const LlcAccessResult r = llc.access(a, i, next_use);
-
-        if (options.collectDramTrace) {
+    for (std::size_t i = 0; i < count; ++i) {
+        const MemAccess &a = accesses[i];
+        const LlcAccessResult r = llc.access(
+            a, i, next_use != nullptr ? next_use[i] : kNever,
+            characterizer);
+        if (dram != nullptr) {
             if (!r.hit) {
                 // Fill read or bypassed access goes to DRAM.  Write
                 // allocations without fetch (store misses) still
                 // appear as writes.
-                result.dramTrace.emplace_back(a.addr, a.stream,
-                                              a.isWrite, a.cycle);
+                dram->emplace_back(a.addr, a.stream, a.isWrite,
+                                   a.cycle);
             }
             if (r.writeback) {
-                result.dramTrace.emplace_back(r.writebackAddr,
-                                              StreamType::Other, true,
-                                              a.cycle);
+                dram->emplace_back(r.writebackAddr, StreamType::Other,
+                                   true, a.cycle);
             }
         }
     }
@@ -180,7 +66,7 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
 
     BankedLlc llc(config, spec.factory);
 
-    Characterizer characterizer;
+    Characterizer characterizer(llc.geometry().totalBlocks());
 
     std::vector<std::uint64_t> oracle;
     if (spec.needsOracle)
@@ -190,8 +76,8 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
     // whether this replay dies, the payload picks where in the
     // access stream it does — exercising the sweep's recovery from
     // partially-built simulator state at any depth.  Sampled once,
-    // before the loop: the loops only compare against the
-    // precomputed injection index.
+    // before the loop: the loop stops at the precomputed injection
+    // index.
     std::size_t inject_at = trace.accesses.size();
     if (faultsActive()
         && faultFires(FaultSite::SimAccess,
@@ -205,20 +91,11 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
     }
 
     RunResult result;
-    const bool fast = llc.fastPathEligible()
-        && !options.forceGenericPath && !fastPathDisabledByEnv();
-    if (fast) {
-        // Specialized loop: the Characterizer is passed by concrete
-        // type, not attached as a virtual observer.
-        replayHotDispatch(llc, trace, oracle, characterizer,
-                          inject_at, config.uncachedDisplay,
-                          spec.needsOracle, options.collectDramTrace,
-                          result);
-    } else {
-        llc.setObserver(&characterizer);
-        replayGeneric(llc, trace, oracle, spec.needsOracle, inject_at,
-                      options, result);
-    }
+    replay(llc, trace.accesses.data(), inject_at,
+           spec.needsOracle ? oracle.data() : nullptr, characterizer,
+           options.collectDramTrace ? &result.dramTrace : nullptr);
+    if (inject_at < trace.accesses.size())
+        throwInjectedFault(FaultSite::SimAccess);
 
     result.stats = llc.stats();
     result.characterization = characterizer.result();

@@ -42,14 +42,6 @@ struct RunOptions
 {
     /** Collect RunResult::dramTrace (needed for timing runs). */
     bool collectDramTrace = false;
-
-    /**
-     * Force the generic (virtual-observer) access path even when the
-     * specialized fast path is eligible.  The two paths are
-     * bit-identical; this exists for A/B tests and as an escape
-     * hatch (also reachable process-wide via GLLC_NO_FASTPATH=1).
-     */
-    bool forceGenericPath = false;
 };
 
 /**

@@ -57,22 +57,15 @@ LlcStats::merge(const LlcStats &other)
     evictions += other.evictions;
 }
 
-std::function<bool(const MemAccess &)>
-displayBypass()
-{
-    return [](const MemAccess &a) {
-        return a.stream == StreamType::Display;
-    };
-}
-
 BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     : geom_(config.capacityBytes, config.ways, config.banks),
       config_(config),
-      logDecisions_(DecisionLog::active())
+      logDecisions_(DecisionLog::active()),
+      checked_(logDecisions_ || auditActive())
 {
     // The access path never re-reads environment state: the
     // decision-log depth is synced here, once, and logDecisions_ /
-    // policyMayBypass are sampled into plain bools.
+    // checked_ / policyMayBypass are sampled into plain bools.
     if (logDecisions_)
         DecisionLog::local().syncDepth();
     const std::size_t frames =
@@ -87,12 +80,6 @@ BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
         bank.policy->configure(geom_.setsPerBank(), geom_.ways());
         bank.policyMayBypass = bank.policy->mayBypass();
     }
-}
-
-bool
-BankedLlc::fastPathEligible() const
-{
-    return !logDecisions_ && !config_.bypass && !auditActive();
 }
 
 std::uint32_t
@@ -115,139 +102,51 @@ BankedLlc::isResident(Addr addr) const
         != geom_.ways();
 }
 
-LlcAccessResult
-BankedLlc::access(const MemAccess &access, std::uint64_t index,
-                  std::uint64_t next_use)
+void
+BankedLlc::beginChecked(const MemAccess &access, std::uint64_t index,
+                        std::uint32_t way) const
 {
-    LlcAccessResult result;
-    const std::uint32_t bank_id = geom_.bankOf(access.addr);
-    Bank &bank = banks_[bank_id];
-    const std::uint32_t set = geom_.setOf(access.addr);
-    const Addr tag = geom_.tagOf(access.addr);
-    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
+    if (!auditActive())
+        return;
+    const CacheGeometry::Placement where = geom_.placementOf(access.addr);
+    AuditContext &ctx = auditContext();
+    ctx.stream = streamName(access.stream);
+    ctx.accessIndex = static_cast<std::int64_t>(index);
+    ctx.bank = where.bank;
+    ctx.set = where.set;
+    ctx.way = (way != geom_.ways()) ? way : -1;
+}
 
-    const bool audit = auditActive();
-    if (audit) {
-        AuditContext &ctx = auditContext();
-        ctx.stream = streamName(access.stream);
-        ctx.accessIndex = static_cast<std::int64_t>(index);
-        ctx.bank = bank_id;
-        ctx.set = set;
-        ctx.way = -1;
-    }
-
-    auto &sstats =
-        bank.stats.stream[static_cast<std::size_t>(access.stream)];
-    ++sstats.accesses;
-
-    // Filled in lazily: only when decision logging is live.
-    LlcDecision decision;
+void
+BankedLlc::endChecked(const MemAccess &access, std::uint64_t index,
+                      std::uint32_t way, LlcAccessResult result) const
+{
+    const CacheGeometry::Placement where = geom_.placementOf(access.addr);
     if (logDecisions_) {
+        LlcDecision decision;
         decision.index = index;
         decision.addr = access.addr;
         decision.stream = streamName(access.stream).c_str();
-        decision.bank = bank_id;
-        decision.set = set;
+        decision.bank = where.bank;
+        decision.set = where.set;
         decision.isWrite = access.isWrite;
-    }
-
-    const AccessInfo info{&access, index, next_use};
-    const std::uint32_t way = findWay(bank, set, tag);
-    if (audit)
-        auditContext().way = (way != geom_.ways()) ? way : -1;
-
-    if (way != geom_.ways()) {
-        // Hit (bypassed streams can still hit blocks another stream
-        // allocated; the data is resident either way).
-        ++sstats.hits;
-        result.hit = true;
-        bank.dirty[base + way] |=
-            static_cast<std::uint8_t>(access.isWrite);
-        bank.policy->onHit(set, way, info);
-        if (logDecisions_) {
-            decision.way = static_cast<std::int32_t>(way);
-            decision.outcome = DecisionOutcome::Hit;
-            decision.rrpv = bank.policy->decisionRrpv(set, way);
-            decision.state = bank.policy->decisionState(set, way);
-            DecisionLog::local().record(decision);
-        }
-        if (observer_ != nullptr)
-            observer_->onHit(access);
-        if (audit)
-            auditSet(bank_id, set);
-        return result;
-    }
-
-    if ((config_.uncachedDisplay
-         && access.stream == StreamType::Display)
-        || (config_.bypass && config_.bypass(access))
-        || bank.policy->shouldBypass(set, info)) {
-        ++sstats.bypasses;
-        result.bypassed = true;
-        if (logDecisions_) {
+        if (result.bypassed) {
             decision.outcome = DecisionOutcome::Bypass;
-            DecisionLog::local().record(decision);
+        } else {
+            const ReplacementPolicy &policy = *banks_[where.bank].policy;
+            decision.way = static_cast<std::int32_t>(way);
+            decision.outcome = result.hit ? DecisionOutcome::Hit
+                                          : DecisionOutcome::Fill;
+            decision.rrpv = policy.decisionRrpv(where.set, way);
+            decision.state = policy.decisionState(where.set, way);
         }
-        if (observer_ != nullptr)
-            observer_->onBypass(access);
-        if (audit)
-            auditSet(bank_id, set);
-        return result;
-    }
-
-    // Miss: always fill (Section 2: "A miss in the LLC always fills
-    // the requested block into the LLC").
-    ++sstats.misses;
-
-    // Prefer the lowest invalid frame; otherwise ask the policy for a
-    // victim.
-    std::uint32_t fill_way = geom_.ways();
-    if (bank.liveWays[set] < geom_.ways()) {
-        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-            if (bank.tags[base + w] == kInvalidTag) {
-                fill_way = w;
-                break;
-            }
-        }
-        GLLC_ASSERT(fill_way < geom_.ways());
-        ++bank.liveWays[set];
-    }
-
-    if (fill_way == geom_.ways()) {
-        fill_way = bank.policy->selectVictim(set);
-        GLLC_ASSERT(fill_way < geom_.ways());
-        const Addr victim_tag = bank.tags[base + fill_way];
-        GLLC_ASSERT(victim_tag != kInvalidTag);
-        ++bank.stats.evictions;
-        if (bank.dirty[base + fill_way] != 0) {
-            ++bank.stats.writebacks;
-            result.writeback = true;
-            result.writebackAddr = victim_tag << kBlockShift;
-        }
-        bank.policy->onEvict(set, fill_way);
-        if (observer_ != nullptr)
-            observer_->onEvict(victim_tag << kBlockShift);
-    }
-
-    if (observer_ != nullptr)
-        observer_->onMiss(access);
-
-    bank.tags[base + fill_way] = tag;
-    bank.dirty[base + fill_way] =
-        static_cast<std::uint8_t>(access.isWrite);
-    bank.policy->onFill(set, fill_way, info);
-    if (logDecisions_) {
-        decision.way = static_cast<std::int32_t>(fill_way);
-        decision.outcome = DecisionOutcome::Fill;
-        decision.rrpv = bank.policy->decisionRrpv(set, fill_way);
-        decision.state = bank.policy->decisionState(set, fill_way);
         DecisionLog::local().record(decision);
     }
-    if (audit) {
-        auditContext().way = fill_way;
-        auditSet(bank_id, set);
+    if (auditActive()) {
+        if (!result.bypassed)
+            auditContext().way = way;
+        auditSet(where.bank, where.set);
     }
-    return result;
 }
 
 void

@@ -5,21 +5,21 @@
  * Models the paper's shared GPU LLC (Section 4): 64 B blocks, block-
  * interleaved banks, write-allocate, fill-on-miss, per-stream
  * statistics.  Replacement is delegated to one ReplacementPolicy
- * instance per bank.  An optional bypass predicate implements the
- * "uncached displayable color" (UCD) configurations: bypassed
- * accesses still probe the tag store (for coherence with blocks a
- * different stream may have cached) but never allocate.
+ * instance per bank.  The "uncached displayable color" (UCD)
+ * configurations set LlcConfig::uncachedDisplay: display accesses
+ * still probe the tag store (for coherence with blocks a different
+ * stream may have cached) but never allocate.
  *
  * Hot path (DESIGN.md section 9).  The tag store is structure-of-
  * arrays: one contiguous Addr array per bank (kInvalidTag marks an
  * empty frame) plus a parallel dirty byte array, so the tag probe is
- * a tight scan over 8-byte lanes with no flag loads.  Replays that
- * need no audit, no decision log and no custom bypass predicate go
- * through accessHot<>(), a compile-time specialization over the UCD
- * switch and the concrete observer type that pays zero per-access
- * branches for the disabled facilities; everything else (tests,
- * audited runs, custom predicates) uses the generic access(), which
- * is bit-identical in outcome.
+ * a tight scan over 8-byte lanes with no flag loads.  Every access,
+ * in replays and tests alike, goes through the one access<>() body,
+ * templated only on the concrete observer type so the observer hooks
+ * inline.  UCD, the invariant audit and the decision log are runtime
+ * flags: UCD is tested on the miss path only, and audit and decision
+ * logging share one flag sampled at construction that guards two
+ * out-of-line calls.
  */
 
 #ifndef GLLC_CACHE_BANKED_LLC_HH
@@ -27,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -73,40 +72,27 @@ struct LlcStats
 };
 
 /**
- * Observation hooks for characterization layers (epoch tracking,
- * RT-bit inter-stream reuse classification) that must follow block
- * lifetimes without perturbing the policy under test.
+ * The observer contract of BankedLlc::access<>(), and the no-op
+ * observer for callers that observe nothing: the empty inline bodies
+ * vanish at compile time.  Hooks receive each event's global frame
+ * index (bank-major, then set, then way), so stateful observers
+ * (epoch tracking, RT-bit inter-stream reuse classification, stream
+ * occupancy) keep per-resident-block metadata in a flat
+ * frame-indexed array instead of a hashed map.  Observers follow
+ * block lifetimes without perturbing the policy under test.
  */
-class LlcObserver
+struct NullAccessObserver
 {
-  public:
-    virtual ~LlcObserver() = default;
+    /** Access hit the resident block in @p frame. */
+    void onHitAt(const MemAccess &, std::size_t) {}
 
-    /** Access hit a resident block. */
-    virtual void onHit(const MemAccess &access) { (void)access; }
-
-    /** Access missed and will allocate. */
-    virtual void onMiss(const MemAccess &access) { (void)access; }
+    /** Access missed and is about to fill @p frame. */
+    void onMissAt(const MemAccess &, std::size_t) {}
 
     /** Access missed and bypassed (no allocation). */
-    virtual void onBypass(const MemAccess &access) { (void)access; }
-
-    /** Valid block at block-aligned address was evicted. */
-    virtual void onEvict(Addr block_addr) { (void)block_addr; }
-};
-
-/**
- * No-op observer for accessHot<> replays that observe nothing; the
- * empty inline bodies vanish at compile time.  The hot path passes
- * each event's global frame index (bank-major, then set, then way)
- * so stateful observers can keep per-resident-block metadata in a
- * flat frame-indexed array instead of a hashed map.
- */
-struct NullLlcObserver
-{
-    void onHitAt(const MemAccess &, std::size_t) {}
-    void onMissAt(const MemAccess &, std::size_t) {}
     void onBypass(const MemAccess &) {}
+
+    /** The valid block at block-aligned address left @p frame. */
     void onEvictAt(Addr, std::size_t) {}
 };
 
@@ -132,21 +118,10 @@ struct LlcConfig
 
     /**
      * Display-stream accesses never allocate (the paper's UCD
-     * configurations).  Expressed as a flag, not a predicate, so the
-     * hot path can specialize on it at compile time.
+     * configurations).  Tested on the miss path only.
      */
     bool uncachedDisplay = false;
-
-    /**
-     * Arbitrary bypass predicate for custom experiments; accesses
-     * for which this returns true never allocate.  A custom
-     * predicate forces the generic access path (fastPathEligible()).
-     */
-    std::function<bool(const MemAccess &)> bypass;
 };
-
-/** Returns the standard UCD bypass predicate (display stream). */
-std::function<bool(const MemAccess &)> displayBypass();
 
 /** The banked LLC. */
 class BankedLlc
@@ -155,38 +130,24 @@ class BankedLlc
     BankedLlc(const LlcConfig &config, const PolicyFactory &factory);
 
     /**
-     * Service one access (generic path: honours audit, decision log,
-     * observers and custom bypass predicates).
+     * Service one access: the LLC's single access path.
      * @param access the load/store
-     * @param index global trace position (Belady bookkeeping)
+     * @param index global trace position (Belady bookkeeping, audit
+     *        and decision-log records)
      * @param next_use trace index of the next access to this block,
      *        or kNever; only meaningful under oracle policies
+     * @param observer concrete observer with the hooks of
+     *        NullAccessObserver, called directly (no virtual dispatch)
+     *
+     * UCD is a miss-path test of the configuration.  The invariant
+     * audit and the decision log share one flag, checked_, sampled
+     * at construction: when it is set, two out-of-line calls record
+     * the access around the policy hooks.
      */
-    LlcAccessResult access(const MemAccess &access,
-                           std::uint64_t index = 0,
-                           std::uint64_t next_use = kNever);
-
-    /**
-     * True when replays may use accessHot<>(): no decision logging
-     * (sampled at construction), no custom bypass predicate, and no
-     * invariant audit.  The specialized and generic paths produce
-     * bit-identical results; this only gates which facilities need
-     * per-access checks.
-     */
-    bool fastPathEligible() const;
-
-    /**
-     * Specialized access fast path.  @p kUcd bakes in the
-     * uncached-displayable-color test; @p Observer is the concrete
-     * observer type with the frame-indexed hooks of NullLlcObserver,
-     * called directly (devirtualized) — use NullLlcObserver to
-     * observe nothing.  The caller must check fastPathEligible()
-     * once per replay and pass kUcd matching the configuration.
-     */
-    template <bool kUcd, typename Observer>
+    template <typename Observer>
     LlcAccessResult
-    accessHot(const MemAccess &access, std::uint64_t index,
-              std::uint64_t next_use, Observer &observer)
+    access(const MemAccess &access, std::uint64_t index,
+           std::uint64_t next_use, Observer &observer)
     {
         LlcAccessResult result;
         const CacheGeometry::Placement where =
@@ -211,33 +172,44 @@ class BankedLlc
         std::uint32_t way = 0;
         while (way < ways && tags[way] != where.tag)
             ++way;
+        if (checked_)
+            beginChecked(access, index, way);
 
         const AccessInfo info{&access, index, next_use};
         if (way != ways) {
+            // Hit (bypassed streams can still hit blocks another
+            // stream allocated; the data is resident either way).
             ++sstats.hits;
             result.hit = true;
             bank.dirty[base + way] |=
                 static_cast<std::uint8_t>(access.isWrite);
             bank.policy->onHit(where.set, way, info);
+            if (checked_)
+                endChecked(access, index, way, result);
             observer.onHitAt(access, frame_base + way);
             return result;
         }
 
-        if ((kUcd && access.stream == StreamType::Display)
+        if ((config_.uncachedDisplay
+             && access.stream == StreamType::Display)
             || (bank.policyMayBypass
                 && bank.policy->shouldBypass(where.set, info))) {
             ++sstats.bypasses;
             result.bypassed = true;
+            if (checked_)
+                endChecked(access, index, ways, result);
             observer.onBypass(access);
             return result;
         }
 
+        // Miss: always fill (Section 2: "A miss in the LLC always
+        // fills the requested block into the LLC").
         ++sstats.misses;
 
+        // Prefer the lowest invalid frame; otherwise ask the policy
+        // for a victim.
         std::uint32_t fill_way;
         if (bank.liveWays[where.set] < ways) {
-            // Invalid frame available: fill the lowest one, exactly
-            // as the generic path's scan does.
             fill_way = 0;
             while (tags[fill_way] != kInvalidTag)
                 ++fill_way;
@@ -263,7 +235,18 @@ class BankedLlc
         bank.dirty[base + fill_way] =
             static_cast<std::uint8_t>(access.isWrite);
         bank.policy->onFill(where.set, fill_way, info);
+        if (checked_)
+            endChecked(access, index, fill_way, result);
         return result;
+    }
+
+    /** access() with no observer. */
+    LlcAccessResult
+    access(const MemAccess &access, std::uint64_t index = 0,
+           std::uint64_t next_use = kNever)
+    {
+        NullAccessObserver none;
+        return this->access(access, index, next_use, none);
     }
 
     /** Probe only: true when the block is resident. No side effects. */
@@ -285,9 +268,6 @@ class BankedLlc
      * Called once per replay; no-op when metrics are inactive.
      */
     void flushMetrics(const std::string &prefix) const;
-
-    /** Attach an observer (not owned); nullptr detaches. */
-    void setObserver(LlcObserver *observer) { observer_ = observer; }
 
     /** Merged insertion-RRPV histogram across banks, if available. */
     FillHistogram mergedFillHistogram() const;
@@ -345,6 +325,22 @@ class BankedLlc
         LlcStats stats;
     };
 
+    /**
+     * Checked access, before the policy hooks: fill the audit
+     * context's per-access fields; @p way is the probed way, or
+     * ways() on a miss.
+     */
+    void beginChecked(const MemAccess &access, std::uint64_t index,
+                      std::uint32_t way) const;
+
+    /**
+     * Checked access, after the policy hooks: record the decision
+     * (the hit, fill or bypass in @p result; @p way is the way hit
+     * or filled) and audit the set.
+     */
+    void endChecked(const MemAccess &access, std::uint64_t index,
+                    std::uint32_t way, LlcAccessResult result) const;
+
     /** Find the way holding addr in the set, or ways() if absent. */
     std::uint32_t findWay(const Bank &bank, std::uint32_t set,
                           Addr tag) const;
@@ -352,13 +348,18 @@ class BankedLlc
     CacheGeometry geom_;
     LlcConfig config_;
     std::vector<Bank> banks_;
-    LlcObserver *observer_ = nullptr;
 
     /**
      * Decision-log switch, sampled once at construction so the
      * access path pays one branch, not an atomic load, per access.
      */
     bool logDecisions_ = false;
+
+    /**
+     * logDecisions_ || auditActive() at construction: the access
+     * path's one branch for both facilities.
+     */
+    bool checked_ = false;
 };
 
 } // namespace gllc

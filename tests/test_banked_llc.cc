@@ -114,7 +114,7 @@ TEST(BankedLlc, WriteHitMarksDirty)
 TEST(BankedLlc, BypassPreventsAllocation)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
 
     const auto r1 = llc.access(acc(7, StreamType::Display, true));
@@ -134,7 +134,7 @@ TEST(BankedLlc, BypassPreventsAllocation)
 TEST(BankedLlc, BypassedStreamCanHitResidentBlock)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     // Another stream cached the block; a display access finds it.
     llc.access(acc(9, StreamType::RenderTarget, true));
@@ -146,7 +146,7 @@ TEST(BankedLlc, BypassedStreamCanHitResidentBlock)
 TEST(BankedLlc, NonDisplayStreamsUnaffectedByUcd)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     llc.access(acc(3, StreamType::Texture));
     EXPECT_TRUE(llc.isResident(3 * kBlockBytes));
@@ -179,13 +179,13 @@ namespace
 {
 
 /** Observer that counts its callbacks. */
-class CountingObserver : public LlcObserver
+struct CountingObserver
 {
-  public:
-    void onHit(const MemAccess &) override { ++hits; }
-    void onMiss(const MemAccess &) override { ++misses; }
-    void onBypass(const MemAccess &) override { ++bypasses; }
-    void onEvict(Addr addr) override
+    void onHitAt(const MemAccess &, std::size_t) { ++hits; }
+    void onMissAt(const MemAccess &, std::size_t) { ++misses; }
+    void onBypass(const MemAccess &) { ++bypasses; }
+    void
+    onEvictAt(Addr addr, std::size_t)
     {
         ++evictions;
         lastEvicted = addr;
@@ -200,27 +200,25 @@ class CountingObserver : public LlcObserver
 TEST(BankedLlc, ObserverSeesAllEvents)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     CountingObserver obs;
-    llc.setObserver(&obs);
+    const auto access = [&](const MemAccess &a) {
+        llc.access(a, 0, kNever, obs);
+    };
 
     const std::uint32_t sets = llc.geometry().setsPerBank();
-    llc.access(acc(0));                              // miss
-    llc.access(acc(0));                              // hit
-    llc.access(acc(1, StreamType::Display, false));  // bypass
+    access(acc(0));                              // miss
+    access(acc(0));                              // hit
+    access(acc(1, StreamType::Display, false));  // bypass
     for (Addr i = 1; i <= 4; ++i)
-        llc.access(acc(i * sets));                   // 4 misses, 1 evict
+        access(acc(i * sets));                   // 4 misses, 1 evict
 
     EXPECT_EQ(obs.hits, 1);
     EXPECT_EQ(obs.misses, 5);
     EXPECT_EQ(obs.bypasses, 1);
     EXPECT_EQ(obs.evictions, 1);
     EXPECT_EQ(obs.lastEvicted, 0u);
-
-    llc.setObserver(nullptr);  // detaching must be safe
-    llc.access(acc(99));
-    EXPECT_EQ(obs.misses, 5);
 }
 
 TEST(BankedLlc, StatsMerge)

@@ -20,15 +20,19 @@ acc(Addr block, StreamType s, bool write = false)
     return MemAccess(block * kBlockBytes, s, write);
 }
 
-/** LLC with an attached characterizer for event-driven tests. */
+/**
+ * LLC whose accesses feed a characterizer, through the same
+ * frame-indexed observer hooks every trace replay uses.
+ */
 struct Harness
 {
     Harness()
-        : llc(LlcConfig{8 * 1024, 4, 1},
-              LruPolicy::factory())
+        : llc(LlcConfig{8 * 1024, 4, 1}, LruPolicy::factory()),
+          ch(llc.geometry().totalBlocks())
     {
-        llc.setObserver(&ch);
     }
+
+    void access(const MemAccess &a) { llc.access(a, 0, kNever, ch); }
 
     BankedLlc llc;
     Characterizer ch;
@@ -39,8 +43,8 @@ struct Harness
 TEST(Characterizer, RtConsumptionIsInterStreamHit)
 {
     Harness h;
-    h.llc.access(acc(1, StreamType::RenderTarget, true));  // produce
-    h.llc.access(acc(1, StreamType::Texture));             // consume
+    h.access(acc(1, StreamType::RenderTarget, true));  // produce
+    h.access(acc(1, StreamType::Texture));             // consume
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.rtProductions, 1u);
     EXPECT_EQ(c.rtConsumptions, 1u);
@@ -51,10 +55,10 @@ TEST(Characterizer, RtConsumptionIsInterStreamHit)
 TEST(Characterizer, ConsumptionClearsRtBit)
 {
     Harness h;
-    h.llc.access(acc(1, StreamType::RenderTarget, true));
-    h.llc.access(acc(1, StreamType::Texture));
+    h.access(acc(1, StreamType::RenderTarget, true));
+    h.access(acc(1, StreamType::Texture));
     // Second texture hit: the block is now a texture block in E0.
-    h.llc.access(acc(1, StreamType::Texture));
+    h.access(acc(1, StreamType::Texture));
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.rtConsumptions, 1u);
     EXPECT_EQ(c.interTexHits, 1u);
@@ -65,9 +69,9 @@ TEST(Characterizer, ConsumptionClearsRtBit)
 TEST(Characterizer, TextureEpochHitHistogram)
 {
     Harness h;
-    h.llc.access(acc(2, StreamType::Texture));  // fill: lifetime E0
+    h.access(acc(2, StreamType::Texture));  // fill: lifetime E0
     for (int k = 0; k < 5; ++k)
-        h.llc.access(acc(2, StreamType::Texture));
+        h.access(acc(2, StreamType::Texture));
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.intraTexHits, 5u);
     EXPECT_EQ(c.texEpochHits[0], 1u);
@@ -81,12 +85,12 @@ TEST(Characterizer, TexReachAndDeathRatio)
     Harness h;
     // Three texture lifetimes: blocks 1, 2, 3.  Block 1 gets two
     // hits, block 2 one, block 3 none.
-    h.llc.access(acc(1, StreamType::Texture));
-    h.llc.access(acc(2, StreamType::Texture));
-    h.llc.access(acc(3, StreamType::Texture));
-    h.llc.access(acc(1, StreamType::Texture));
-    h.llc.access(acc(1, StreamType::Texture));
-    h.llc.access(acc(2, StreamType::Texture));
+    h.access(acc(1, StreamType::Texture));
+    h.access(acc(2, StreamType::Texture));
+    h.access(acc(3, StreamType::Texture));
+    h.access(acc(1, StreamType::Texture));
+    h.access(acc(1, StreamType::Texture));
+    h.access(acc(2, StreamType::Texture));
 
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.texReach[0], 3u);
@@ -99,9 +103,9 @@ TEST(Characterizer, TexReachAndDeathRatio)
 TEST(Characterizer, ZEpochsTrackedSeparately)
 {
     Harness h;
-    h.llc.access(acc(5, StreamType::Z, true));
-    h.llc.access(acc(5, StreamType::Z));
-    h.llc.access(acc(6, StreamType::Z, true));
+    h.access(acc(5, StreamType::Z, true));
+    h.access(acc(5, StreamType::Z));
+    h.access(acc(6, StreamType::Z, true));
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.zReach[0], 2u);
     EXPECT_EQ(c.zReach[1], 1u);
@@ -113,17 +117,17 @@ TEST(Characterizer, ZEpochsTrackedSeparately)
 TEST(Characterizer, RtRewriteCountsOneProduction)
 {
     Harness h;
-    h.llc.access(acc(1, StreamType::RenderTarget, true));
-    h.llc.access(acc(1, StreamType::RenderTarget, true));  // blend hit
+    h.access(acc(1, StreamType::RenderTarget, true));
+    h.access(acc(1, StreamType::RenderTarget, true));  // blend hit
     EXPECT_EQ(h.ch.result().rtProductions, 1u);
 }
 
 TEST(Characterizer, RtReacquisitionAfterConsumptionIsNewProduction)
 {
     Harness h;
-    h.llc.access(acc(1, StreamType::RenderTarget, true));
-    h.llc.access(acc(1, StreamType::Texture));             // consume
-    h.llc.access(acc(1, StreamType::RenderTarget, true));  // reuse
+    h.access(acc(1, StreamType::RenderTarget, true));
+    h.access(acc(1, StreamType::Texture));             // consume
+    h.access(acc(1, StreamType::RenderTarget, true));  // reuse
     EXPECT_EQ(h.ch.result().rtProductions, 2u);
     EXPECT_EQ(h.ch.result().rtConsumptions, 1u);
 }
@@ -131,7 +135,7 @@ TEST(Characterizer, RtReacquisitionAfterConsumptionIsNewProduction)
 TEST(Characterizer, DisplayCountsAsRenderTarget)
 {
     Harness h;
-    h.llc.access(acc(4, StreamType::Display, true));
+    h.access(acc(4, StreamType::Display, true));
     EXPECT_EQ(h.ch.result().rtProductions, 1u);
 }
 
@@ -141,11 +145,11 @@ TEST(Characterizer, EvictionEndsLifetimes)
     // 4-way single... small cache: force eviction of a texture block
     // and confirm a later refill starts a fresh E0 lifetime.
     const std::uint32_t sets = h.llc.geometry().setsPerBank();
-    h.llc.access(acc(0, StreamType::Texture));
+    h.access(acc(0, StreamType::Texture));
     for (Addr i = 1; i <= 4; ++i)
-        h.llc.access(acc(i * sets, StreamType::Other));
+        h.access(acc(i * sets, StreamType::Other));
     EXPECT_FALSE(h.llc.isResident(0));
-    h.llc.access(acc(0, StreamType::Texture));
+    h.access(acc(0, StreamType::Texture));
     const Characterization &c = h.ch.result();
     EXPECT_EQ(c.texReach[0], 2u);  // two lifetimes
     EXPECT_EQ(c.texReach[1], 0u);  // neither ever hit
@@ -177,9 +181,9 @@ TEST(Characterizer, MergeAddsFields)
 TEST(Characterizer, BlendHitEndsTextureLifetime)
 {
     Harness h;
-    h.llc.access(acc(1, StreamType::Texture));
-    h.llc.access(acc(1, StreamType::RenderTarget, true));
-    h.llc.access(acc(1, StreamType::Texture));  // consumption again
+    h.access(acc(1, StreamType::Texture));
+    h.access(acc(1, StreamType::RenderTarget, true));
+    h.access(acc(1, StreamType::Texture));  // consumption again
     const Characterization &c = h.ch.result();
     // First lifetime died hitless; the RT write produced; the second
     // texture access consumed.
