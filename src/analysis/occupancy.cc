@@ -1,6 +1,6 @@
 #include "analysis/occupancy.hh"
 
-#include "cache/policy/belady.hh"
+#include "analysis/policy_types.hh"
 #include "common/logging.hh"
 
 namespace gllc
@@ -73,26 +73,31 @@ trackOccupancy(const FrameTrace &trace, const PolicySpec &spec,
 
     OccupancyObserver observer(llc.geometry().totalBlocks());
 
-    std::vector<std::uint64_t> oracle;
-    if (spec.needsOracle)
-        oracle = buildNextUseOracle(trace.accesses);
-
     const std::uint64_t period = std::max<std::uint64_t>(
         1, trace.accesses.size() / sample_count);
 
     std::vector<OccupancySample> samples;
-    for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
-        llc.access(trace.accesses[i], i,
-                   spec.needsOracle ? oracle[i] : kNever, observer);
-        const bool last = (i + 1 == trace.accesses.size());
-        if (((i + 1) % period == 0 && samples.size() + 1 < sample_count)
-            || last) {
-            OccupancySample s;
-            s.accessIndex = i + 1;
-            s.blocks = observer.counts();
-            samples.push_back(s);
+    withPolicyClass(llc, [&](auto policy_class) {
+        using Policy = typename decltype(policy_class)::type;
+        std::vector<std::uint64_t> next_use;
+        if constexpr (Policy::kNeedsOracle)
+            next_use = buildNextUseOracle(trace.accesses);
+
+        for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
+            llc.access<Policy>(
+                trace.accesses[i], i,
+                Policy::kNeedsOracle ? next_use[i] : kNever, observer);
+            const bool last = (i + 1 == trace.accesses.size());
+            if (((i + 1) % period == 0
+                 && samples.size() + 1 < sample_count)
+                || last) {
+                OccupancySample s;
+                s.accessIndex = i + 1;
+                s.blocks = observer.counts();
+                samples.push_back(s);
+            }
         }
-    }
+    });
     return samples;
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "cache/policy/belady.hh"
+#include "analysis/policy_types.hh"
 #include "common/audit.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -17,20 +17,26 @@ namespace
 {
 
 /**
- * The replay loop: service accesses [0, count) in order.
+ * The replay loop: service accesses [0, count) in order through the
+ * access path instantiated on @p Policy, the class every bank holds.
+ * Only policies with the kNeedsOracle trait get next-use indices.
  *
- * @param next_use Belady next-use index per access, or nullptr
- * @param dram     receives the DRAM-bound traffic, or nullptr
+ * @param dram receives the DRAM-bound traffic, or nullptr
  */
+template <typename Policy>
 void
-replay(BankedLlc &llc, const MemAccess *accesses, std::size_t count,
-       const std::uint64_t *next_use, Characterizer &characterizer,
+replay(BankedLlc &llc, const std::vector<MemAccess> &trace,
+       std::size_t count, Characterizer &characterizer,
        std::vector<MemAccess> *dram)
 {
+    std::vector<std::uint64_t> next_use;
+    if constexpr (Policy::kNeedsOracle)
+        next_use = buildNextUseOracle(trace);
+
     for (std::size_t i = 0; i < count; ++i) {
-        const MemAccess &a = accesses[i];
-        const LlcAccessResult r = llc.access(
-            a, i, next_use != nullptr ? next_use[i] : kNever,
+        const MemAccess &a = trace[i];
+        const LlcAccessResult r = llc.access<Policy>(
+            a, i, Policy::kNeedsOracle ? next_use[i] : kNever,
             characterizer);
         if (dram != nullptr) {
             if (!r.hit) {
@@ -68,10 +74,6 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
 
     Characterizer characterizer(llc.geometry().totalBlocks());
 
-    std::vector<std::uint64_t> oracle;
-    if (spec.needsOracle)
-        oracle = buildNextUseOracle(trace.accesses);
-
     // sim.access fault site: one keyed draw per replay decides
     // whether this replay dies, the payload picks where in the
     // access stream it does — exercising the sweep's recovery from
@@ -91,9 +93,11 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
     }
 
     RunResult result;
-    replay(llc, trace.accesses.data(), inject_at,
-           spec.needsOracle ? oracle.data() : nullptr, characterizer,
-           options.collectDramTrace ? &result.dramTrace : nullptr);
+    withPolicyClass(llc, [&](auto policy_class) {
+        replay<typename decltype(policy_class)::type>(
+            llc, trace.accesses, inject_at, characterizer,
+            options.collectDramTrace ? &result.dramTrace : nullptr);
+    });
     if (inject_at < trace.accesses.size())
         throwInjectedFault(FaultSite::SimAccess);
 

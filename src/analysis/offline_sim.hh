@@ -5,7 +5,10 @@
  * The paper's characterization and miss-count results come from "an
  * offline cache simulator, which ... digests the LLC load/store
  * access trace collected from the detailed simulator for each
- * frame" (Section 2).  OfflineLlcSim is that component.
+ * frame" (Section 2).  runTrace() is that component: it builds a
+ * BankedLlc for one policy and replays the trace through the access
+ * path instantiated on that policy's class (analysis/policy_types.hh),
+ * with the Characterizer as observer.
  */
 
 #ifndef GLLC_ANALYSIS_OFFLINE_SIM_HH

@@ -67,7 +67,6 @@ baseSpec(const std::string &name, PolicySpec &spec)
         spec.factory = PeLifoPolicy::factory();
     } else if (name == "Belady") {
         spec.factory = BeladyPolicy::factory();
-        spec.needsOracle = true;
     } else if (name == "GSPZTC") {
         spec.factory = GspcFamilyPolicy::factory(GspcVariant::Gspztc);
     } else if (name == "GSPZTC+TSE") {

@@ -36,9 +36,6 @@ struct PolicySpec
     /** Creates one per-bank ReplacementPolicy instance. */
     PolicyFactory factory;
 
-    /** Requires the Belady next-use oracle. */
-    bool needsOracle = false;
-
     /** Display stream bypasses the LLC (UCD). */
     bool uncachedDisplay = false;
 };

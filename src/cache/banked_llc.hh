@@ -15,11 +15,13 @@
  * empty frame) plus a parallel dirty byte array, so the tag probe is
  * a tight scan over 8-byte lanes with no flag loads.  Every access,
  * in replays and tests alike, goes through the one access<>() body,
- * templated only on the concrete observer type so the observer hooks
- * inline.  UCD, the invariant audit and the decision log are runtime
- * flags: UCD is tested on the miss path only, and audit and decision
- * logging share one flag sampled at construction that guards two
- * out-of-line calls.
+ * templated on the concrete policy class and the concrete observer
+ * type so the policy and observer hooks inline; callers that do not
+ * name a policy class get the ReplacementPolicy instantiation of the
+ * same body, with virtual hooks.  UCD, the invariant audit and the
+ * decision log are runtime flags: UCD is tested on the miss path
+ * only, and audit and decision logging share one flag sampled at
+ * construction that guards two out-of-line calls.
  */
 
 #ifndef GLLC_CACHE_BANKED_LLC_HH
@@ -28,6 +30,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -138,21 +142,29 @@ class BankedLlc
      *        or kNever; only meaningful under oracle policies
      * @param observer concrete observer with the hooks of
      *        NullAccessObserver, called directly (no virtual dispatch)
+     * @tparam Policy the final class of every bank's policy
+     *         (policiesAre<Policy>()), whose hooks are then called
+     *         directly; ReplacementPolicy calls them virtually
      *
      * UCD is a miss-path test of the configuration.  The invariant
      * audit and the decision log share one flag, checked_, sampled
      * at construction: when it is set, two out-of-line calls record
      * the access around the policy hooks.
      */
-    template <typename Observer>
+    template <typename Policy = ReplacementPolicy, typename Observer>
     LlcAccessResult
     access(const MemAccess &access, std::uint64_t index,
            std::uint64_t next_use, Observer &observer)
     {
+        static_assert(std::is_same_v<Policy, ReplacementPolicy>
+                          || std::is_final_v<Policy>,
+                      "a concrete policy must be final for its hooks "
+                      "to bind statically");
         LlcAccessResult result;
         const CacheGeometry::Placement where =
             geom_.placementOf(access.addr);
         Bank &bank = banks_[where.bank];
+        Policy &policy = static_cast<Policy &>(*bank.policy);
         const std::uint32_t ways = geom_.ways();
         const std::size_t base =
             static_cast<std::size_t>(where.set) * ways;
@@ -183,7 +195,7 @@ class BankedLlc
             result.hit = true;
             bank.dirty[base + way] |=
                 static_cast<std::uint8_t>(access.isWrite);
-            bank.policy->onHit(where.set, way, info);
+            policy.onHit(where.set, way, info);
             if (checked_)
                 endChecked(access, index, way, result);
             observer.onHitAt(access, frame_base + way);
@@ -193,7 +205,7 @@ class BankedLlc
         if ((config_.uncachedDisplay
              && access.stream == StreamType::Display)
             || (bank.policyMayBypass
-                && bank.policy->shouldBypass(where.set, info))) {
+                && policy.shouldBypass(where.set, info))) {
             ++sstats.bypasses;
             result.bypassed = true;
             if (checked_)
@@ -215,7 +227,7 @@ class BankedLlc
                 ++fill_way;
             ++bank.liveWays[where.set];
         } else {
-            fill_way = bank.policy->selectVictim(where.set);
+            fill_way = policy.selectVictim(where.set);
             GLLC_ASSERT(fill_way < ways);
             GLLC_ASSERT(tags[fill_way] != kInvalidTag);
             ++bank.stats.evictions;
@@ -224,7 +236,7 @@ class BankedLlc
                 result.writeback = true;
                 result.writebackAddr = tags[fill_way] << kBlockShift;
             }
-            bank.policy->onEvict(where.set, fill_way);
+            policy.onEvict(where.set, fill_way);
             observer.onEvictAt(tags[fill_way] << kBlockShift,
                                frame_base + fill_way);
         }
@@ -234,7 +246,7 @@ class BankedLlc
         tags[fill_way] = where.tag;
         bank.dirty[base + fill_way] =
             static_cast<std::uint8_t>(access.isWrite);
-        bank.policy->onFill(where.set, fill_way, info);
+        policy.onFill(where.set, fill_way, info);
         if (checked_)
             endChecked(access, index, fill_way, result);
         return result;
@@ -246,7 +258,20 @@ class BankedLlc
            std::uint64_t next_use = kNever)
     {
         NullAccessObserver none;
-        return this->access(access, index, next_use, none);
+        return this->access<ReplacementPolicy>(access, index, next_use,
+                                               none);
+    }
+
+    /** True when every bank's policy is exactly of class @p Policy. */
+    template <typename Policy>
+    bool
+    policiesAre() const
+    {
+        for (const Bank &bank : banks_) {
+            if (typeid(*bank.policy) != typeid(Policy))
+                return false;
+        }
+        return true;
     }
 
     /** Probe only: true when the block is resident. No side effects. */

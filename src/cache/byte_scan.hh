@@ -1,0 +1,138 @@
+/**
+ * @file
+ * Vector scans over one set's per-way state bytes.
+ *
+ * The RRIP and NRU victim rules read one state byte per way and pick
+ * the lowest-numbered way holding some value (Section 1).  These
+ * helpers compare 16 ways at a time with SSE2, which every x86-64
+ * target has; other targets get the equivalent scalar loops.
+ *
+ * A row is @p n >= 1 consecutive bytes.  Its last 16-byte chunk may
+ * run past the row, so the array holding the rows must extend
+ * kByteScanSlack bytes past its last row.  Lanes past the row are
+ * masked out of every result, and addToBytes() writes them back
+ * unchanged.
+ */
+
+#ifndef GLLC_CACHE_BYTE_SCAN_HH
+#define GLLC_CACHE_BYTE_SCAN_HH
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
+namespace gllc
+{
+
+/** Readable bytes a row array needs past its last row. */
+constexpr std::size_t kByteScanSlack = 15;
+
+#ifdef __SSE2__
+namespace detail
+{
+
+/** Movemask bits of the row's lanes in a chunk with @p left bytes. */
+inline unsigned
+chunkBits(std::uint32_t left)
+{
+    return left >= 16 ? 0xffffu : (1u << left) - 1;
+}
+
+/** 0xff in the row's lanes of a chunk with @p left < 16 bytes. */
+inline __m128i
+chunkLanes(std::uint32_t left)
+{
+    const __m128i lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                       10, 11, 12, 13, 14, 15);
+    return _mm_cmplt_epi8(lane,
+                          _mm_set1_epi8(static_cast<char>(left)));
+}
+
+inline __m128i
+loadChunk(const std::uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+} // namespace detail
+#endif
+
+/** Index of the first of the @p n bytes equal to @p value, or n. */
+inline std::uint32_t
+firstByteEqual(const std::uint8_t *row, std::uint32_t n,
+               std::uint8_t value)
+{
+#ifdef __SSE2__
+    const __m128i needle = _mm_set1_epi8(static_cast<char>(value));
+    for (std::uint32_t base = 0; base < n; base += 16) {
+        const __m128i eq =
+            _mm_cmpeq_epi8(detail::loadChunk(row + base), needle);
+        const unsigned hits =
+            static_cast<unsigned>(_mm_movemask_epi8(eq))
+            & detail::chunkBits(n - base);
+        if (hits != 0)
+            return base + static_cast<std::uint32_t>(
+                              std::countr_zero(hits));
+    }
+    return n;
+#else
+    for (std::uint32_t w = 0; w < n; ++w) {
+        if (row[w] == value)
+            return w;
+    }
+    return n;
+#endif
+}
+
+/** Largest of the @p n bytes. */
+inline std::uint8_t
+maxByte(const std::uint8_t *row, std::uint32_t n)
+{
+#ifdef __SSE2__
+    __m128i top = _mm_setzero_si128();
+    for (std::uint32_t base = 0; base < n; base += 16) {
+        __m128i chunk = detail::loadChunk(row + base);
+        if (n - base < 16)
+            chunk = _mm_and_si128(chunk, detail::chunkLanes(n - base));
+        top = _mm_max_epu8(top, chunk);
+    }
+    top = _mm_max_epu8(top, _mm_srli_si128(top, 8));
+    top = _mm_max_epu8(top, _mm_srli_si128(top, 4));
+    top = _mm_max_epu8(top, _mm_srli_si128(top, 2));
+    top = _mm_max_epu8(top, _mm_srli_si128(top, 1));
+    return static_cast<std::uint8_t>(_mm_cvtsi128_si32(top));
+#else
+    std::uint8_t top = 0;
+    for (std::uint32_t w = 0; w < n; ++w)
+        top = row[w] > top ? row[w] : top;
+    return top;
+#endif
+}
+
+/** Add @p delta to each of the @p n bytes (modulo 256). */
+inline void
+addToBytes(std::uint8_t *row, std::uint32_t n, std::uint8_t delta)
+{
+#ifdef __SSE2__
+    const __m128i step = _mm_set1_epi8(static_cast<char>(delta));
+    for (std::uint32_t base = 0; base < n; base += 16) {
+        const __m128i add = (n - base < 16)
+            ? _mm_and_si128(step, detail::chunkLanes(n - base))
+            : step;
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(row + base),
+            _mm_add_epi8(detail::loadChunk(row + base), add));
+    }
+#else
+    for (std::uint32_t w = 0; w < n; ++w)
+        row[w] = static_cast<std::uint8_t>(row[w] + delta);
+#endif
+}
+
+} // namespace gllc
+
+#endif // GLLC_CACHE_BYTE_SCAN_HH

@@ -27,9 +27,12 @@ namespace gllc
 std::vector<std::uint64_t>
 buildNextUseOracle(const std::vector<MemAccess> &trace);
 
-class BeladyPolicy : public ReplacementPolicy
+class BeladyPolicy final : public ReplacementPolicy
 {
   public:
+    /** Replay supplies next-use indices (buildNextUseOracle()). */
+    static constexpr bool kNeedsOracle = true;
+
     void configure(std::uint32_t sets, std::uint32_t ways) override;
     std::uint32_t selectVictim(std::uint32_t set) override;
     void onFill(std::uint32_t set, std::uint32_t way,

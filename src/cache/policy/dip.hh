@@ -21,7 +21,7 @@
 namespace gllc
 {
 
-class DipPolicy : public ReplacementPolicy
+class DipPolicy final : public ReplacementPolicy
 {
   public:
     DipPolicy();

@@ -57,17 +57,6 @@ DuelStats::flush(const std::string &prefix,
                     static_cast<std::int64_t>(psel.value()));
 }
 
-DuelRole
-duelRole(std::uint32_t set, unsigned group)
-{
-    const std::uint32_t offset = set & 63u;
-    if (offset == 2u * group)
-        return DuelRole::SrripLeader;
-    if (offset == (2u * group + 33u) % 64u)
-        return DuelRole::BrripLeader;
-    return DuelRole::Follower;
-}
-
 void
 auditDuelFamilies(unsigned groups, const char *component)
 {
@@ -115,50 +104,6 @@ DrripPolicy::configure(std::uint32_t sets, std::uint32_t ways)
 {
     rrip_.configure(sets, ways);
     auditDuelFamilies(1, "DrripPolicy");
-}
-
-std::uint32_t
-DrripPolicy::selectVictim(std::uint32_t set)
-{
-    return rrip_.selectVictim(set);
-}
-
-void
-DrripPolicy::onFill(std::uint32_t set, std::uint32_t way,
-                    const AccessInfo &info)
-{
-    // A fill is a miss: leader-set misses steer the PSEL duel.  A
-    // miss in an SRRIP leader votes against SRRIP (psel up) and vice
-    // versa; followers copy whichever family has fewer misses.
-    const DuelRole role = duelRole(set, 0);
-    bool use_brrip;
-    switch (role) {
-      case DuelRole::SrripLeader:
-        psel_.up();
-        use_brrip = false;
-        break;
-      case DuelRole::BrripLeader:
-        psel_.down();
-        use_brrip = true;
-        break;
-      default:
-        use_brrip = psel_.upperHalf();
-        break;
-    }
-
-    const std::uint8_t rrpv = use_brrip
-        ? throttle_.insertionRrpv(rrip_)
-        : rrip_.distantRrpv();
-    rrip_.fill(set, way, rrpv, info.pstream());
-    if (metrics_)
-        duel_.recordFill(role, use_brrip, psel_);
-}
-
-void
-DrripPolicy::onHit(std::uint32_t set, std::uint32_t way,
-                   const AccessInfo &)
-{
-    rrip_.set(set, way, 0);
 }
 
 void

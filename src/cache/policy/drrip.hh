@@ -36,7 +36,16 @@ enum class DuelRole : std::uint8_t
  * dueling group `group` (DRRIP uses one group; GS-DRRIP one per
  * stream).  The +33 skew keeps the two leader families apart.
  */
-DuelRole duelRole(std::uint32_t set, unsigned group);
+inline DuelRole
+duelRole(std::uint32_t set, unsigned group)
+{
+    const std::uint32_t offset = set & 63u;
+    if (offset == 2u * group)
+        return DuelRole::SrripLeader;
+    if (offset == (2u * group + 33u) % 64u)
+        return DuelRole::BrripLeader;
+    return DuelRole::Follower;
+}
 
 /**
  * Audit the leader-set families of @p groups dueling groups: within
@@ -96,18 +105,30 @@ struct DuelStats
                const DuelCounter &psel) const;
 };
 
-class DrripPolicy : public ReplacementPolicy
+class DrripPolicy final : public ReplacementPolicy
 {
   public:
     /** @param bits RRPV width (2 baseline, 4 in Figure 14). */
     explicit DrripPolicy(unsigned bits = 2);
 
     void configure(std::uint32_t sets, std::uint32_t ways) override;
-    std::uint32_t selectVictim(std::uint32_t set) override;
+
+    std::uint32_t
+    selectVictim(std::uint32_t set) override
+    {
+        return rrip_.selectVictim(set);
+    }
+
     void onFill(std::uint32_t set, std::uint32_t way,
                 const AccessInfo &info) override;
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const AccessInfo &info) override;
+
+    void
+    onHit(std::uint32_t set, std::uint32_t way,
+          const AccessInfo &) override
+    {
+        rrip_.set(set, way, 0);
+    }
+
     const FillHistogram *fillHistogram() const override;
     std::string name() const override;
 
@@ -133,6 +154,37 @@ class DrripPolicy : public ReplacementPolicy
     bool metrics_;
     DuelStats duel_;
 };
+
+inline void
+DrripPolicy::onFill(std::uint32_t set, std::uint32_t way,
+                    const AccessInfo &info)
+{
+    // A fill is a miss: leader-set misses steer the PSEL duel.  A
+    // miss in an SRRIP leader votes against SRRIP (psel up) and vice
+    // versa; followers copy whichever family has fewer misses.
+    const DuelRole role = duelRole(set, 0);
+    bool use_brrip;
+    switch (role) {
+      case DuelRole::SrripLeader:
+        psel_.up();
+        use_brrip = false;
+        break;
+      case DuelRole::BrripLeader:
+        psel_.down();
+        use_brrip = true;
+        break;
+      default:
+        use_brrip = psel_.upperHalf();
+        break;
+    }
+
+    const std::uint8_t rrpv = use_brrip
+        ? throttle_.insertionRrpv(rrip_)
+        : rrip_.distantRrpv();
+    rrip_.fill(set, way, rrpv, info.pstream());
+    if (metrics_)
+        duel_.recordFill(role, use_brrip, psel_);
+}
 
 } // namespace gllc
 

@@ -22,49 +22,6 @@ GsDrripPolicy::configure(std::uint32_t sets, std::uint32_t ways)
                       "GsDrripPolicy");
 }
 
-std::uint32_t
-GsDrripPolicy::selectVictim(std::uint32_t set)
-{
-    return rrip_.selectVictim(set);
-}
-
-void
-GsDrripPolicy::onFill(std::uint32_t set, std::uint32_t way,
-                      const AccessInfo &info)
-{
-    const auto stream = static_cast<std::size_t>(info.pstream());
-    const DuelRole role = duelRole(set, static_cast<unsigned>(stream));
-
-    bool use_brrip;
-    switch (role) {
-      case DuelRole::SrripLeader:
-        psel_[stream].up();
-        use_brrip = false;
-        break;
-      case DuelRole::BrripLeader:
-        psel_[stream].down();
-        use_brrip = true;
-        break;
-      default:
-        use_brrip = psel_[stream].upperHalf();
-        break;
-    }
-
-    const std::uint8_t rrpv = use_brrip
-        ? throttle_[stream].insertionRrpv(rrip_)
-        : rrip_.distantRrpv();
-    rrip_.fill(set, way, rrpv, info.pstream());
-    if (metrics_)
-        duel_[stream].recordFill(role, use_brrip, psel_[stream]);
-}
-
-void
-GsDrripPolicy::onHit(std::uint32_t set, std::uint32_t way,
-                     const AccessInfo &)
-{
-    rrip_.set(set, way, 0);
-}
-
 void
 GsDrripPolicy::auditInvariants(std::uint32_t set) const
 {

@@ -22,17 +22,29 @@
 namespace gllc
 {
 
-class GsDrripPolicy : public ReplacementPolicy
+class GsDrripPolicy final : public ReplacementPolicy
 {
   public:
     explicit GsDrripPolicy(unsigned bits = 2);
 
     void configure(std::uint32_t sets, std::uint32_t ways) override;
-    std::uint32_t selectVictim(std::uint32_t set) override;
+
+    std::uint32_t
+    selectVictim(std::uint32_t set) override
+    {
+        return rrip_.selectVictim(set);
+    }
+
     void onFill(std::uint32_t set, std::uint32_t way,
                 const AccessInfo &info) override;
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const AccessInfo &info) override;
+
+    void
+    onHit(std::uint32_t set, std::uint32_t way,
+          const AccessInfo &) override
+    {
+        rrip_.set(set, way, 0);
+    }
+
     const FillHistogram *fillHistogram() const override;
     std::string name() const override;
 
@@ -62,6 +74,36 @@ class GsDrripPolicy : public ReplacementPolicy
     bool metrics_;
     std::array<DuelStats, kNumPolicyStreams> duel_;
 };
+
+inline void
+GsDrripPolicy::onFill(std::uint32_t set, std::uint32_t way,
+                      const AccessInfo &info)
+{
+    const auto stream = static_cast<std::size_t>(info.pstream());
+    const DuelRole role = duelRole(set, static_cast<unsigned>(stream));
+
+    bool use_brrip;
+    switch (role) {
+      case DuelRole::SrripLeader:
+        psel_[stream].up();
+        use_brrip = false;
+        break;
+      case DuelRole::BrripLeader:
+        psel_[stream].down();
+        use_brrip = true;
+        break;
+      default:
+        use_brrip = psel_[stream].upperHalf();
+        break;
+    }
+
+    const std::uint8_t rrpv = use_brrip
+        ? throttle_[stream].insertionRrpv(rrip_)
+        : rrip_.distantRrpv();
+    rrip_.fill(set, way, rrpv, info.pstream());
+    if (metrics_)
+        duel_[stream].recordFill(role, use_brrip, psel_[stream]);
+}
 
 } // namespace gllc
 

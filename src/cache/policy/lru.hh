@@ -18,7 +18,7 @@
 namespace gllc
 {
 
-class LruPolicy : public ReplacementPolicy
+class LruPolicy final : public ReplacementPolicy
 {
   public:
     void configure(std::uint32_t sets, std::uint32_t ways) override;

@@ -7,33 +7,8 @@ void
 NruPolicy::configure(std::uint32_t sets, std::uint32_t ways)
 {
     ways_ = ways;
-    referenced_.assign(static_cast<std::size_t>(sets) * ways, 0);
-}
-
-std::uint32_t
-NruPolicy::selectVictim(std::uint32_t set)
-{
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (referenced_[base + w] == 0)
-            return w;
-    }
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        referenced_[base + w] = 0;
-    return 0;
-}
-
-void
-NruPolicy::onFill(std::uint32_t set, std::uint32_t way,
-                  const AccessInfo &)
-{
-    referenced_[static_cast<std::size_t>(set) * ways_ + way] = 1;
-}
-
-void
-NruPolicy::onHit(std::uint32_t set, std::uint32_t way, const AccessInfo &)
-{
-    referenced_[static_cast<std::size_t>(set) * ways_ + way] = 1;
+    referenced_.assign(
+        static_cast<std::size_t>(sets) * ways + kByteScanSlack, 0);
 }
 
 PolicyFactory

@@ -26,7 +26,7 @@
 namespace gllc
 {
 
-class PeLifoPolicy : public ReplacementPolicy
+class PeLifoPolicy final : public ReplacementPolicy
 {
   public:
     PeLifoPolicy();

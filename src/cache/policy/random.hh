@@ -14,7 +14,7 @@
 namespace gllc
 {
 
-class RandomPolicy : public ReplacementPolicy
+class RandomPolicy final : public ReplacementPolicy
 {
   public:
     explicit RandomPolicy(std::uint64_t seed = 1);

@@ -24,59 +24,6 @@ ShipMemPolicy::configure(std::uint32_t sets, std::uint32_t ways)
     table_.assign(kTableEntries, SatCounter(3, 1));
 }
 
-std::uint32_t
-ShipMemPolicy::selectVictim(std::uint32_t set)
-{
-    return rrip_.selectVictim(set);
-}
-
-void
-ShipMemPolicy::onFill(std::uint32_t set, std::uint32_t way,
-                      const AccessInfo &info)
-{
-    const std::uint32_t sig = signatureOf(info.access->addr);
-    BlockState &b = block(set, way);
-    b.signature = static_cast<std::uint16_t>(sig);
-    b.outcome = false;
-
-    const bool dead = (table_[sig].value() == 0);
-    const std::uint8_t rrpv =
-        dead ? rrip_.maxRrpv() : rrip_.distantRrpv();
-    rrip_.fill(set, way, rrpv, info.pstream());
-    if (metrics_) {
-        if (dead)
-            ++fillsDead_;
-        else
-            ++fillsLive_;
-    }
-}
-
-void
-ShipMemPolicy::onHit(std::uint32_t set, std::uint32_t way,
-                     const AccessInfo &)
-{
-    BlockState &b = block(set, way);
-    if (!b.outcome) {
-        b.outcome = true;
-        table_[b.signature].increment();
-    }
-    rrip_.set(set, way, 0);
-}
-
-void
-ShipMemPolicy::onEvict(std::uint32_t set, std::uint32_t way)
-{
-    BlockState &b = block(set, way);
-    if (!b.outcome)
-        table_[b.signature].decrement();
-    if (metrics_) {
-        if (b.outcome)
-            ++evictsReused_;
-        else
-            ++evictsDead_;
-    }
-}
-
 void
 ShipMemPolicy::auditInvariants(std::uint32_t set) const
 {

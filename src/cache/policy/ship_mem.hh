@@ -23,13 +23,19 @@
 namespace gllc
 {
 
-class ShipMemPolicy : public ReplacementPolicy
+class ShipMemPolicy final : public ReplacementPolicy
 {
   public:
     explicit ShipMemPolicy(unsigned bits = 2);
 
     void configure(std::uint32_t sets, std::uint32_t ways) override;
-    std::uint32_t selectVictim(std::uint32_t set) override;
+
+    std::uint32_t
+    selectVictim(std::uint32_t set) override
+    {
+        return rrip_.selectVictim(set);
+    }
+
     void onFill(std::uint32_t set, std::uint32_t way,
                 const AccessInfo &info) override;
     void onHit(std::uint32_t set, std::uint32_t way,
@@ -103,6 +109,53 @@ class ShipMemPolicy : public ReplacementPolicy
     std::uint64_t evictsReused_ = 0;
     std::uint64_t evictsDead_ = 0;
 };
+
+inline void
+ShipMemPolicy::onFill(std::uint32_t set, std::uint32_t way,
+                      const AccessInfo &info)
+{
+    const std::uint32_t sig = signatureOf(info.access->addr);
+    BlockState &b = block(set, way);
+    b.signature = static_cast<std::uint16_t>(sig);
+    b.outcome = false;
+
+    const bool dead = (table_[sig].value() == 0);
+    const std::uint8_t rrpv =
+        dead ? rrip_.maxRrpv() : rrip_.distantRrpv();
+    rrip_.fill(set, way, rrpv, info.pstream());
+    if (metrics_) {
+        if (dead)
+            ++fillsDead_;
+        else
+            ++fillsLive_;
+    }
+}
+
+inline void
+ShipMemPolicy::onHit(std::uint32_t set, std::uint32_t way,
+                     const AccessInfo &)
+{
+    BlockState &b = block(set, way);
+    if (!b.outcome) {
+        b.outcome = true;
+        table_[b.signature].increment();
+    }
+    rrip_.set(set, way, 0);
+}
+
+inline void
+ShipMemPolicy::onEvict(std::uint32_t set, std::uint32_t way)
+{
+    BlockState &b = block(set, way);
+    if (!b.outcome)
+        table_[b.signature].decrement();
+    if (metrics_) {
+        if (b.outcome)
+            ++evictsReused_;
+        else
+            ++evictsDead_;
+    }
+}
 
 } // namespace gllc
 

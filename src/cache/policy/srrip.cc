@@ -14,26 +14,6 @@ SrripPolicy::configure(std::uint32_t sets, std::uint32_t ways)
     rrip_.configure(sets, ways);
 }
 
-std::uint32_t
-SrripPolicy::selectVictim(std::uint32_t set)
-{
-    return rrip_.selectVictim(set);
-}
-
-void
-SrripPolicy::onFill(std::uint32_t set, std::uint32_t way,
-                    const AccessInfo &info)
-{
-    rrip_.fill(set, way, rrip_.distantRrpv(), info.pstream());
-}
-
-void
-SrripPolicy::onHit(std::uint32_t set, std::uint32_t way,
-                   const AccessInfo &)
-{
-    rrip_.set(set, way, 0);
-}
-
 const FillHistogram *
 SrripPolicy::fillHistogram() const
 {

@@ -16,18 +16,34 @@
 namespace gllc
 {
 
-class SrripPolicy : public ReplacementPolicy
+class SrripPolicy final : public ReplacementPolicy
 {
   public:
     /** @param bits RRPV width (2 in the paper's baseline). */
     explicit SrripPolicy(unsigned bits = 2);
 
     void configure(std::uint32_t sets, std::uint32_t ways) override;
-    std::uint32_t selectVictim(std::uint32_t set) override;
-    void onFill(std::uint32_t set, std::uint32_t way,
-                const AccessInfo &info) override;
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const AccessInfo &info) override;
+
+    std::uint32_t
+    selectVictim(std::uint32_t set) override
+    {
+        return rrip_.selectVictim(set);
+    }
+
+    void
+    onFill(std::uint32_t set, std::uint32_t way,
+           const AccessInfo &info) override
+    {
+        rrip_.fill(set, way, rrip_.distantRrpv(), info.pstream());
+    }
+
+    void
+    onHit(std::uint32_t set, std::uint32_t way,
+          const AccessInfo &) override
+    {
+        rrip_.set(set, way, 0);
+    }
+
     const FillHistogram *fillHistogram() const override;
     std::string name() const override;
 

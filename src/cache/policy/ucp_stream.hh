@@ -26,7 +26,7 @@
 namespace gllc
 {
 
-class UcpStreamPolicy : public ReplacementPolicy
+class UcpStreamPolicy final : public ReplacementPolicy
 {
   public:
     /** @param repartition_period accesses between reallocations */

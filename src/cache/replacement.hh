@@ -89,10 +89,25 @@ struct FillHistogram
     }
 };
 
-/** Replacement policy for one cache bank. */
+/**
+ * Replacement policy for one cache bank.
+ *
+ * Every policy class in src/ is declared final and listed in
+ * ConcretePolicies (analysis/policy_types.hh): replay then calls its
+ * hooks on the concrete class, so the calls bind statically and the
+ * header-visible bodies inline.  Classes outside that list work
+ * unchanged through the virtual hooks.
+ */
 class ReplacementPolicy
 {
   public:
+    /**
+     * Compile-time trait: replay must supply AccessInfo::nextUse from
+     * the future-knowledge oracle.  A class that needs it hides this
+     * with true; only BeladyPolicy does.
+     */
+    static constexpr bool kNeedsOracle = false;
+
     virtual ~ReplacementPolicy() = default;
 
     /** Size internal state for a bank of the given geometry. */

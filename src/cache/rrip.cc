@@ -17,47 +17,29 @@ RripState::configure(std::uint32_t sets, std::uint32_t ways)
 {
     sets_ = sets;
     ways_ = ways;
-    rrpv_.assign(static_cast<std::size_t>(sets) * ways, max_);
+    // Slack past the last row for the victim scan's 16-byte chunks.
+    rrpv_.assign(static_cast<std::size_t>(sets) * ways + kByteScanSlack,
+                 max_);
 }
 
-std::uint32_t
-RripState::selectVictim(std::uint32_t set)
+void
+RripState::auditVictim(std::uint32_t set, std::uint32_t victim) const
 {
-    // A corrupted RRPV above the policy width would make the aging
-    // loop spin through a uint8 wrap-around before terminating;
-    // audit the set before trusting it.
-    auditSet(set, "RripState");
-
-    std::uint8_t *row = &rrpv_[static_cast<std::size_t>(set) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (row[w] == max_) {
-            if (auditActive()) {
-                // Exactly-one-way selection: the victim is the
-                // lowest-numbered way at max RRPV (Section 1).
-                for (std::uint32_t lo = 0; lo < w; ++lo) {
-                    GLLC_AUDIT_CHECK(
-                        "RripState", "victim-tie-break",
-                        row[lo] != max_,
-                        "way %u at max rrpv below chosen victim "
-                        "way %u", lo, w);
-                }
-            }
-            return w;
-        }
+    if (!auditActive())
+        return;
+    // Exactly-one-way selection: the victim is the lowest-numbered
+    // way at max RRPV (Section 1).
+    const std::size_t base = static_cast<std::size_t>(set) * ways_;
+    GLLC_AUDIT_CHECK("RripState", "victim-tie-break",
+                     victim < ways_ && rrpv_[base + victim] == max_,
+                     "victim way %u of set %u is not at max rrpv",
+                     victim, set);
+    for (std::uint32_t lo = 0; lo < victim && lo < ways_; ++lo) {
+        GLLC_AUDIT_CHECK("RripState", "victim-tie-break",
+                         rrpv_[base + lo] != max_,
+                         "way %u at max rrpv below chosen victim "
+                         "way %u", lo, victim);
     }
-
-    // No way at max: unit-step aging would raise every way until the
-    // highest reaches max, so add that gap in one pass.  The victim
-    // is the lowest way that was at the top.
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w) {
-        if (row[w] > row[victim])
-            victim = w;
-    }
-    const std::uint8_t gap = max_ - row[victim];
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        row[w] += gap;
-    return victim;
 }
 
 void

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/byte_scan.hh"
 #include "cache/replacement.hh"
+#include "common/audit.hh"
 
 namespace gllc
 {
@@ -39,10 +41,33 @@ class RripState
     /**
      * RRIP victim selection: first way at maxRrpv, aging all ways in
      * unit steps until one qualifies.  Ties break toward the minimum
-     * physical way id (Section 1).  The aging is applied in one
-     * pass, with the identical resulting victim and RRPVs.
+     * physical way id (Section 1).  One vector compare finds the
+     * victim; the aging is applied in one pass, with the identical
+     * resulting victim and RRPVs.
      */
-    std::uint32_t selectVictim(std::uint32_t set);
+    std::uint32_t
+    selectVictim(std::uint32_t set)
+    {
+        // A corrupted RRPV above the policy width would break the
+        // aging arithmetic; audit the set before trusting it.
+        if (auditActive())
+            auditSet(set, "RripState");
+
+        std::uint8_t *row = &rrpv_[static_cast<std::size_t>(set) * ways_];
+        std::uint32_t victim = firstByteEqual(row, ways_, max_);
+        if (victim == ways_) {
+            // No way at max: unit-step aging would raise every way
+            // until the highest reaches max, so add that gap in one
+            // pass.  The victim is the lowest way that was at the
+            // top.
+            const std::uint8_t top = maxByte(row, ways_);
+            victim = firstByteEqual(row, ways_, top);
+            addToBytes(row, ways_, static_cast<std::uint8_t>(max_ - top));
+        }
+        if (auditActive())
+            auditVictim(set, victim);
+        return victim;
+    }
 
     /** Install a block with the given RRPV, recording the fill. */
     void
@@ -74,6 +99,13 @@ class RripState
      * failure report.  No-op unless auditActive().
      */
     void auditSet(std::uint32_t set, const char *component) const;
+
+    /**
+     * Audit one victim choice: @p victim holds maxRrpv and no lower
+     * way does (the Section 1 tie-break).  No-op unless
+     * auditActive().
+     */
+    void auditVictim(std::uint32_t set, std::uint32_t victim) const;
 
     /** Audit every set (tests, end-of-replay sweeps). */
     void auditAll(const char *component) const;

@@ -31,7 +31,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/geometry.hh"
 #include "cache/rrip.hh"
+#include "common/audit.hh"
 #include "core/stream_counters.hh"
 
 namespace gllc
@@ -104,7 +106,7 @@ struct GspcParams
     bool bypassDeadFills = false;
 };
 
-class GspcFamilyPolicy : public ReplacementPolicy
+class GspcFamilyPolicy final : public ReplacementPolicy
 {
   public:
     explicit GspcFamilyPolicy(GspcVariant variant, std::uint32_t t = 8);
@@ -112,7 +114,13 @@ class GspcFamilyPolicy : public ReplacementPolicy
     GspcFamilyPolicy(GspcVariant variant, const GspcParams &params);
 
     void configure(std::uint32_t sets, std::uint32_t ways) override;
-    std::uint32_t selectVictim(std::uint32_t set) override;
+
+    std::uint32_t
+    selectVictim(std::uint32_t set) override
+    {
+        return rrip_.selectVictim(set);
+    }
+
     void onFill(std::uint32_t set, std::uint32_t way,
                 const AccessInfo &info) override;
     void onHit(std::uint32_t set, std::uint32_t way,
@@ -219,6 +227,229 @@ class GspcFamilyPolicy : public ReplacementPolicy
     std::uint64_t texInsertDistant_ = 0;
     std::uint64_t rtConsume_ = 0;  ///< RT->TEX conversions observed
 };
+
+inline std::uint8_t
+GspcFamilyPolicy::texE0Rrpv() const
+{
+    const bool distant = (variant_ == GspcVariant::Gspztc)
+        ? counters_.texDistantAgg(t_)
+        : counters_.texDistantEpoch(0, t_);
+    // Inserting surviving texture blocks at RRPV 2 hurts (Section 3),
+    // so the paper's policies use 0 when not condemning them.
+    return distant ? rrip_.maxRrpv() : 0;
+}
+
+inline void
+GspcFamilyPolicy::onFill(std::uint32_t set, std::uint32_t way,
+                         const AccessInfo &info)
+{
+    if (!auditActive()) {
+        onFillImpl(set, way, info);
+        return;
+    }
+    const BlockState prev = stateAt(set, way);
+    onFillImpl(set, way, info);
+    auditBlockTransition(prev, stateAt(set, way), info.pstream(), true);
+}
+
+inline void
+GspcFamilyPolicy::onFillImpl(std::uint32_t set, std::uint32_t way,
+                             const AccessInfo &info)
+{
+    const bool sample = isSampleSetAt(set, params_.sampleLog2);
+    const PolicyStream ps = info.pstream();
+
+    // Default new-block state: a later texture touch would see E0.
+    BlockState next_state = BlockState::TexE0;
+    std::uint8_t rrpv = rrip_.distantRrpv();  // SRRIP-style default
+
+    if (sample) {
+        // Sample sets execute SRRIP for every stream (Table 2) and
+        // only learn.
+        counters_.recordAccess();
+        switch (ps) {
+          case PolicyStream::Z:
+            counters_.recordZFill();
+            break;
+          case PolicyStream::Texture:
+            counters_.recordTexFillAgg();
+            counters_.recordTexFillEpoch(0);
+            break;
+          case PolicyStream::RenderTarget:
+            counters_.recordRtProduce();
+            next_state = BlockState::RenderTarget;
+            break;
+          default:
+            break;
+        }
+        rrip_.fill(set, way, rrpv, ps);
+        stateAt(set, way) = next_state;
+        return;
+    }
+
+    switch (ps) {
+      case PolicyStream::Z:
+        rrpv = counters_.zDistant(t_) ? rrip_.maxRrpv()
+                                      : rrip_.distantRrpv();
+        break;
+      case PolicyStream::Texture:
+        rrpv = texE0Rrpv();
+        if (metrics_) {
+            if (rrpv == rrip_.maxRrpv())
+                ++texInsertDistant_;
+            else
+                ++texInsertProtect_;
+        }
+        break;
+      case PolicyStream::RenderTarget:
+        next_state = BlockState::RenderTarget;
+        if (variant_ == GspcVariant::Gspc) {
+            const RtProtection level = counters_.rtProtection();
+            if (metrics_)
+                ++rtProtFills_[static_cast<std::size_t>(level)];
+            switch (level) {
+              case RtProtection::Distant:
+                rrpv = rrip_.maxRrpv();
+                break;
+              case RtProtection::Intermediate:
+                rrpv = rrip_.distantRrpv();
+                break;
+              case RtProtection::Protect:
+                rrpv = 0;
+                break;
+            }
+        } else {
+            // GSPZTC/GSPZTC+TSE: maximum protection for render
+            // targets to enable RT->TEX reuse through the LLC.
+            rrpv = 0;
+        }
+        break;
+      default:
+        rrpv = rrip_.distantRrpv();
+        break;
+    }
+
+    rrip_.fill(set, way, rrpv, ps);
+    stateAt(set, way) = next_state;
+}
+
+inline void
+GspcFamilyPolicy::onHit(std::uint32_t set, std::uint32_t way,
+                        const AccessInfo &info)
+{
+    if (!auditActive()) {
+        onHitImpl(set, way, info);
+        return;
+    }
+    const BlockState prev = stateAt(set, way);
+    onHitImpl(set, way, info);
+    auditBlockTransition(prev, stateAt(set, way), info.pstream(), false);
+}
+
+inline void
+GspcFamilyPolicy::onHitImpl(std::uint32_t set, std::uint32_t way,
+                            const AccessInfo &info)
+{
+    const bool sample = isSampleSetAt(set, params_.sampleLog2);
+    const PolicyStream ps = info.pstream();
+    BlockState &state = stateAt(set, way);
+
+    if (metrics_)
+        ++stateHits_[static_cast<std::size_t>(state)];
+
+    if (sample)
+        counters_.recordAccess();
+
+    if (ps == PolicyStream::Texture) {
+        if (state == BlockState::RenderTarget) {
+            if (metrics_)
+                ++rtConsume_;
+            // RT->TEX consumption: the block becomes a texture block
+            // and (re)enters epoch E0 (Figure 10).
+            if (sample) {
+                counters_.recordRtConsume();
+                counters_.recordTexFillAgg();
+                counters_.recordTexFillEpoch(0);
+            }
+            state = BlockState::TexE0;
+            rrip_.set(set, way, sample ? 0 : texE0Rrpv());
+            return;
+        }
+
+        if (state == BlockState::TexE0) {
+            if (sample) {
+                counters_.recordTexHitAgg();
+                counters_.recordTexHitEpoch(0);
+                counters_.recordTexFillEpoch(1);
+            }
+            state = BlockState::TexE1;
+            std::uint8_t rrpv = 0;
+            if (!sample && variant_ != GspcVariant::Gspztc) {
+                rrpv = counters_.texDistantEpoch(1, t_) ? rrip_.maxRrpv()
+                                                        : 0;
+            }
+            rrip_.set(set, way, rrpv);
+            return;
+        }
+
+        if (state == BlockState::TexE1) {
+            if (sample) {
+                counters_.recordTexHitAgg();
+                counters_.recordTexHitEpoch(1);
+            }
+            state = BlockState::TexE2Plus;
+        } else {
+            // E>=2 stays E>=2.
+            if (sample)
+                counters_.recordTexHitAgg();
+            state = BlockState::TexE2Plus;
+        }
+        rrip_.set(set, way, 0);
+        return;
+    }
+
+    if (ps == PolicyStream::RenderTarget) {
+        // RT hit (blending), or the application reuses an existing
+        // surface as a new render target: state 11, RRPV 0.
+        state = BlockState::RenderTarget;
+        rrip_.set(set, way, 0);
+        return;
+    }
+
+    if (ps == PolicyStream::Z && sample)
+        counters_.recordZHit();
+
+    rrip_.set(set, way, 0);
+}
+
+inline bool
+GspcFamilyPolicy::shouldBypass(std::uint32_t set,
+                               const AccessInfo &info) const
+{
+    if (!params_.bypassDeadFills)
+        return false;
+    // Sample sets must keep allocating or the counters starve.
+    if (isSampleSetAt(set, params_.sampleLog2))
+        return false;
+    switch (info.pstream()) {
+      case PolicyStream::Texture:
+        return (variant_ == GspcVariant::Gspztc)
+            ? counters_.texDistantAgg(t_)
+            : counters_.texDistantEpoch(0, t_);
+      case PolicyStream::Z:
+        return counters_.zDistant(t_);
+      default:
+        return false;
+    }
+}
+
+inline void
+GspcFamilyPolicy::onEvict(std::uint32_t set, std::uint32_t way)
+{
+    // The RT bit / state is conceptually cleared on eviction; the
+    // next fill rewrites it, but reset keeps introspection honest.
+    stateAt(set, way) = BlockState::TexE0;
+}
 
 } // namespace gllc
 

@@ -17,66 +17,6 @@ StreamReuseCounters::StreamReuseCounters(unsigned counter_bits,
 }
 
 void
-StreamReuseCounters::recordZFill()
-{
-    fillZ_.increment();
-}
-
-void
-StreamReuseCounters::recordZHit()
-{
-    hitZ_.increment();
-}
-
-void
-StreamReuseCounters::recordTexFillAgg()
-{
-    fillTexAgg_.increment();
-}
-
-void
-StreamReuseCounters::recordTexHitAgg()
-{
-    hitTexAgg_.increment();
-}
-
-void
-StreamReuseCounters::recordTexFillEpoch(unsigned epoch)
-{
-    GLLC_ASSERT(epoch < 2);
-    fillTexE_[epoch].increment();
-}
-
-void
-StreamReuseCounters::recordTexHitEpoch(unsigned epoch)
-{
-    GLLC_ASSERT(epoch < 2);
-    hitTexE_[epoch].increment();
-}
-
-void
-StreamReuseCounters::recordRtProduce()
-{
-    prod_.increment();
-}
-
-void
-StreamReuseCounters::recordRtConsume()
-{
-    cons_.increment();
-}
-
-void
-StreamReuseCounters::recordAccess()
-{
-    acc_.increment();
-    if (acc_.saturated()) {
-        halveAll();
-        acc_.reset();
-    }
-}
-
-void
 StreamReuseCounters::halveAll()
 {
     // Close the sample window in the telemetry before decaying: the
@@ -93,26 +33,6 @@ StreamReuseCounters::halveAll()
         c.halve();
     prod_.halve();
     cons_.halve();
-}
-
-bool
-StreamReuseCounters::zDistant(std::uint32_t t) const
-{
-    return fillZ_.value() > t * hitZ_.value();
-}
-
-bool
-StreamReuseCounters::texDistantAgg(std::uint32_t t) const
-{
-    return fillTexAgg_.value() > t * hitTexAgg_.value();
-}
-
-bool
-StreamReuseCounters::texDistantEpoch(unsigned epoch,
-                                     std::uint32_t t) const
-{
-    GLLC_ASSERT(epoch < 2);
-    return fillTexE_[epoch].value() > t * hitTexE_[epoch].value();
 }
 
 template <typename Self, typename Fn>
@@ -157,18 +77,6 @@ StreamReuseCounters::debugForceCounter(const std::string &name,
         }
     });
     GLLC_ASSERT_MSG(found, "unknown counter \"%s\"", name.c_str());
-}
-
-RtProtection
-StreamReuseCounters::rtProtection() const
-{
-    const std::uint64_t p = prod_.value();
-    const std::uint64_t c = cons_.value();
-    if (p > 16 * c)
-        return RtProtection::Distant;
-    if (p > 8 * c)
-        return RtProtection::Intermediate;
-    return RtProtection::Protect;
 }
 
 } // namespace gllc

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/sat_counter.hh"
 
 namespace gllc
@@ -51,41 +52,83 @@ class StreamReuseCounters
 
     /// @name Sample-set event recording
     /// @{
-    void recordZFill();
-    void recordZHit();
+    void recordZFill() { fillZ_.increment(); }
+    void recordZHit() { hitZ_.increment(); }
 
     /** Aggregate texture fill (GSPZTC); covers RT->TEX conversions. */
-    void recordTexFillAgg();
+    void recordTexFillAgg() { fillTexAgg_.increment(); }
     /** Aggregate texture hit to a non-RT block (GSPZTC). */
-    void recordTexHitAgg();
+    void recordTexHitAgg() { hitTexAgg_.increment(); }
 
     /** Texture block entered epoch E (fill or RT->TEX conversion). */
-    void recordTexFillEpoch(unsigned epoch);
+    void
+    recordTexFillEpoch(unsigned epoch)
+    {
+        GLLC_ASSERT(epoch < 2);
+        fillTexE_[epoch].increment();
+    }
+
     /** Texture hit observed in epoch E. */
-    void recordTexHitEpoch(unsigned epoch);
+    void
+    recordTexHitEpoch(unsigned epoch)
+    {
+        GLLC_ASSERT(epoch < 2);
+        hitTexE_[epoch].increment();
+    }
 
     /** Render-target fill into a sample set (PROD). */
-    void recordRtProduce();
+    void recordRtProduce() { prod_.increment(); }
     /** Render target consumed by the sampler from the LLC (CONS). */
-    void recordRtConsume();
+    void recordRtConsume() { cons_.increment(); }
 
     /** Any access to a sample set: ACC(ALL)++, halving on saturation. */
-    void recordAccess();
+    void
+    recordAccess()
+    {
+        acc_.increment();
+        if (acc_.saturated()) {
+            halveAll();
+            acc_.reset();
+        }
+    }
     /// @}
 
     /// @name Insertion decisions (non-sample sets)
     /// @{
     /** True when FILL(Z) > t * HIT(Z): insert Z at RRPV 3. */
-    bool zDistant(std::uint32_t t) const;
+    bool
+    zDistant(std::uint32_t t) const
+    {
+        return fillZ_.value() > t * hitZ_.value();
+    }
 
     /** True when FILL(TEX) > t * HIT(TEX) (aggregate, GSPZTC). */
-    bool texDistantAgg(std::uint32_t t) const;
+    bool
+    texDistantAgg(std::uint32_t t) const
+    {
+        return fillTexAgg_.value() > t * hitTexAgg_.value();
+    }
 
     /** True when FILL(E,TEX) > t * HIT(E,TEX) (TSE/GSPC). */
-    bool texDistantEpoch(unsigned epoch, std::uint32_t t) const;
+    bool
+    texDistantEpoch(unsigned epoch, std::uint32_t t) const
+    {
+        GLLC_ASSERT(epoch < 2);
+        return fillTexE_[epoch].value() > t * hitTexE_[epoch].value();
+    }
 
     /** RT insertion protection from the PROD/CONS ratio (Table 5). */
-    RtProtection rtProtection() const;
+    RtProtection
+    rtProtection() const
+    {
+        const std::uint64_t p = prod_.value();
+        const std::uint64_t c = cons_.value();
+        if (p > 16 * c)
+            return RtProtection::Distant;
+        if (p > 8 * c)
+            return RtProtection::Intermediate;
+        return RtProtection::Protect;
+    }
     /// @}
 
     /// @name Sample-window telemetry (metrics layer)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "analysis/offline_sim.hh"
+#include "analysis/policy_types.hh"
 
 using namespace gllc;
 
@@ -42,7 +45,70 @@ tinyLlc()
     return c;
 }
 
+/** The access-path instantiation withPolicyClass() picks for @p llc. */
+const std::type_info &
+replayClassOf(const BankedLlc &llc)
+{
+    const std::type_info *chosen = nullptr;
+    withPolicyClass(llc, [&](auto policy_class) {
+        EXPECT_EQ(chosen, nullptr) << "dispatched twice";
+        chosen = &typeid(typename decltype(policy_class)::type);
+    });
+    return *chosen;
+}
+
+/** A policy class outside ConcretePolicies: evicts way 0. */
+class WayZeroPolicy : public ReplacementPolicy
+{
+  public:
+    void configure(std::uint32_t, std::uint32_t) override {}
+    std::uint32_t selectVictim(std::uint32_t) override { return 0; }
+    void onFill(std::uint32_t, std::uint32_t, const AccessInfo &) override
+    {
+    }
+    void onHit(std::uint32_t, std::uint32_t, const AccessInfo &) override
+    {
+    }
+    std::string name() const override { return "WayZero"; }
+};
+
 } // namespace
+
+TEST(OfflineSim, EveryRegistryPolicyReplaysThroughItsOwnClass)
+{
+    const std::vector<PolicySpec> specs = allPolicySpecs();
+    ASSERT_EQ(specs.size(), 42u);
+    for (const PolicySpec &spec : specs) {
+        BankedLlc llc(tinyLlc(), spec.factory);
+        const std::type_info &chosen = replayClassOf(llc);
+        EXPECT_NE(chosen, typeid(ReplacementPolicy)) << spec.name;
+        EXPECT_EQ(chosen, typeid(llc.bankPolicy(0))) << spec.name;
+    }
+}
+
+TEST(OfflineSim, UnlistedPolicyReplaysThroughTheVirtualHooks)
+{
+    PolicySpec spec;
+    spec.name = "WayZero";
+    spec.factory = [] { return std::make_unique<WayZeroPolicy>(); };
+    EXPECT_EQ(replayClassOf(BankedLlc(tinyLlc(), spec.factory)),
+              typeid(ReplacementPolicy));
+
+    // Banks of different listed classes share no concrete class.
+    bool lru = false;
+    const PolicyFactory mixed = [&lru] {
+        lru = !lru;
+        return lru ? std::unique_ptr<ReplacementPolicy>(new LruPolicy)
+                   : std::unique_ptr<ReplacementPolicy>(new NruPolicy);
+    };
+    EXPECT_EQ(replayClassOf(BankedLlc(tinyLlc(), mixed)),
+              typeid(ReplacementPolicy));
+
+    const FrameTrace t = syntheticTrace();
+    const RunResult r = runTrace(t, spec, tinyLlc());
+    EXPECT_EQ(r.stats.totalAccesses(), t.accesses.size());
+    EXPECT_EQ(r.stats.of(StreamType::Texture).hits, 64u);
+}
 
 TEST(OfflineSim, StatsCoverWholeTrace)
 {

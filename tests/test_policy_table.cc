@@ -8,6 +8,7 @@
 #include <set>
 
 #include "analysis/policy_table.hh"
+#include "analysis/policy_types.hh"
 
 using namespace gllc;
 
@@ -58,10 +59,18 @@ TEST(PolicyTable, UcdComposesWithEveryBase)
 
 TEST(PolicyTable, BeladyNeedsOracle)
 {
-    EXPECT_TRUE(policySpec("Belady").needsOracle);
-    EXPECT_TRUE(policySpec("Belady+UCD").needsOracle);
-    EXPECT_FALSE(policySpec("DRRIP").needsOracle);
-    EXPECT_FALSE(policySpec("GSPC").needsOracle);
+    // The oracle requirement is a trait of the policy class, and the
+    // registry's Belady entries build that class.
+    for (const char *name : {"Belady", "Belady+UCD"}) {
+        EXPECT_NE(dynamic_cast<BeladyPolicy *>(
+                      policySpec(name).factory().get()),
+                  nullptr)
+            << name;
+    }
+    EXPECT_TRUE(BeladyPolicy::kNeedsOracle);
+    EXPECT_FALSE(DrripPolicy::kNeedsOracle);
+    EXPECT_FALSE(GspcFamilyPolicy::kNeedsOracle);
+    EXPECT_FALSE(ReplacementPolicy::kNeedsOracle);
 }
 
 TEST(PolicyTable, ThresholdSweepForm)

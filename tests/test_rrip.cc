@@ -9,6 +9,7 @@
 #include <random>
 #include <vector>
 
+#include "cache/policy/nru.hh"
 #include "cache/rrip.hh"
 
 using namespace gllc;
@@ -34,6 +35,58 @@ unitStepVictim(std::vector<std::uint8_t> &row, std::uint8_t max)
         for (std::uint8_t &v : row)
             ++v;
     }
+}
+
+/** NRU victim selection as Figure 1 states it. */
+std::uint32_t
+referenceNruVictim(std::vector<std::uint8_t> &referenced)
+{
+    for (std::uint32_t w = 0; w < referenced.size(); ++w) {
+        if (referenced[w] == 0)
+            return w;
+    }
+    for (std::uint8_t &bit : referenced)
+        bit = 0;
+    return 0;
+}
+
+/** Row shapes the victim-scan differential tests draw. */
+enum class RowKind
+{
+    Random,   ///< every way drawn independently
+    OneHit,   ///< exactly one way holds the victim value
+    AllHit,   ///< every way holds it
+    NoneHit,  ///< no way holds it (RRIP ages; NRU clears)
+};
+
+constexpr RowKind kRowKinds[] = {RowKind::Random, RowKind::OneHit,
+                                 RowKind::AllHit, RowKind::NoneHit};
+
+/** Way counts of the tests' LLCs, 16 ways and a large set. */
+constexpr std::uint32_t kScanWays[] = {2, 4, 8, 16, 32, 1024};
+
+/**
+ * One row of @p ways values in [0, @p max]; @p hit is the value the
+ * victim rule looks for (RRIP: max; NRU: 0, with max 1).
+ */
+std::vector<std::uint8_t>
+drawRow(std::mt19937 &rng, RowKind kind, std::uint32_t ways,
+        std::uint8_t max, std::uint8_t hit)
+{
+    std::uniform_int_distribution<int> any(0, max);
+    std::vector<std::uint8_t> row(ways);
+    for (std::uint8_t &v : row) {
+        do {
+            v = static_cast<std::uint8_t>(any(rng));
+        } while (kind != RowKind::Random && v == hit);
+    }
+    if (kind == RowKind::AllHit)
+        row.assign(ways, hit);
+    if (kind == RowKind::OneHit) {
+        std::uniform_int_distribution<std::uint32_t> way(0, ways - 1);
+        row[way(rng)] = hit;
+    }
+    return row;
 }
 
 } // namespace
@@ -135,6 +188,95 @@ TEST(Rrip, OnePassAgingMatchesUnitStepsForWidthsOneToFour)
                         << bits << "-bit, " << ways << " ways, trial "
                         << trial << ", way " << w;
                     ASSERT_EQ(r.get(0, w), 0);  // other set untouched
+                }
+            }
+        }
+    }
+}
+
+TEST(Rrip, VectorVictimScanMatchesUnitStepReference)
+{
+    // The victim set is the middle or the last of three, so the
+    // scan's 16-byte chunks run into the next set's bytes or into
+    // the array's slack; neither may change the result or be
+    // written.
+    std::mt19937 rng(20131207);
+    for (const unsigned bits : {2u, 4u}) {
+        RripState r(bits);
+        const std::uint8_t max = r.maxRrpv();
+        for (const std::uint32_t ways : kScanWays) {
+            r.configure(3, ways);
+            for (const RowKind kind : kRowKinds) {
+                for (int trial = 0; trial < 24; ++trial) {
+                    std::vector<std::vector<std::uint8_t>> sets;
+                    for (std::uint32_t s = 0; s < 3; ++s) {
+                        sets.push_back(
+                            drawRow(rng, RowKind::Random, ways, max,
+                                    max));
+                    }
+                    const std::uint32_t victim_set = 1 + trial % 2;
+                    sets[victim_set] =
+                        drawRow(rng, kind, ways, max, max);
+                    for (std::uint32_t s = 0; s < 3; ++s)
+                        for (std::uint32_t w = 0; w < ways; ++w)
+                            r.set(s, w, sets[s][w]);
+
+                    const std::uint32_t want =
+                        unitStepVictim(sets[victim_set], max);
+                    ASSERT_EQ(r.selectVictim(victim_set), want)
+                        << bits << "-bit, " << ways << " ways, kind "
+                        << static_cast<int>(kind) << ", trial "
+                        << trial;
+                    for (std::uint32_t s = 0; s < 3; ++s) {
+                        for (std::uint32_t w = 0; w < ways; ++w) {
+                            ASSERT_EQ(r.get(s, w), sets[s][w])
+                                << bits << "-bit, " << ways
+                                << " ways, kind "
+                                << static_cast<int>(kind)
+                                << ", trial " << trial << ", set "
+                                << s << ", way " << w;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Nru, VectorVictimScanMatchesReference)
+{
+    std::mt19937 rng(20131208);
+    for (const std::uint32_t ways : kScanWays) {
+        for (const RowKind kind : kRowKinds) {
+            for (int trial = 0; trial < 24; ++trial) {
+                NruPolicy nru;
+                nru.configure(3, ways);
+                std::vector<std::vector<std::uint8_t>> sets;
+                for (std::uint32_t s = 0; s < 3; ++s)
+                    sets.push_back(
+                        drawRow(rng, RowKind::Random, ways, 1, 0));
+                const std::uint32_t victim_set = 1 + trial % 2;
+                sets[victim_set] = drawRow(rng, kind, ways, 1, 0);
+                // configure() clears every bit; hits set them.
+                const MemAccess a(0, StreamType::Texture, false);
+                const AccessInfo info{&a, 0, kNever};
+                for (std::uint32_t s = 0; s < 3; ++s)
+                    for (std::uint32_t w = 0; w < ways; ++w)
+                        if (sets[s][w] != 0)
+                            nru.onHit(s, w, info);
+
+                const std::uint32_t want =
+                    referenceNruVictim(sets[victim_set]);
+                ASSERT_EQ(nru.selectVictim(victim_set), want)
+                    << ways << " ways, kind " << static_cast<int>(kind)
+                    << ", trial " << trial;
+                for (std::uint32_t s = 0; s < 3; ++s) {
+                    for (std::uint32_t w = 0; w < ways; ++w) {
+                        ASSERT_EQ(nru.referenced(s, w), sets[s][w] != 0)
+                            << ways << " ways, kind "
+                            << static_cast<int>(kind) << ", trial "
+                            << trial << ", set " << s << ", way " << w;
+                    }
                 }
             }
         }

@@ -51,6 +51,15 @@ BARE_FD_ALLOWLIST = {
 }
 
 
+# A class deriving from ReplacementPolicy; group 2 is "final" if
+# present.  Spans lines, so it runs over the whole comment-stripped
+# file.
+POLICY_SUBCLASS = re.compile(
+    r"\b(?:class|struct)\s+(\w+)(\s+final)?\s*:\s*"
+    r"(?:(?:public|protected|private)\s+)?(?:::)?(?:gllc::)?"
+    r"ReplacementPolicy\b")
+
+
 @register
 class BareAssert:
     """GLLC_ASSERT survives NDEBUG and honours -DGLLC_ASSERTS=OFF;
@@ -167,6 +176,33 @@ class BareFd:
                     "service layer; use openStreamSocket/"
                     "acceptConnection/spawnPiped (service/"
                     "fd_hygiene.hh) so no fd leaks into a worker")
+
+
+@register
+class PolicyFinal:
+    """Replay instantiates the LLC access path on each concrete
+    policy class (analysis/policy_types.hh).  Only a final class lets
+    the compiler bind its hooks statically and inline the bodies in
+    its header; a non-final policy silently costs a virtual call per
+    hook, or is missing from the dispatch list altogether."""
+
+    name = "policy-final"
+    description = ("ReplacementPolicy subclass in src/ not declared "
+                   "final")
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src":
+            return
+        for match in POLICY_SUBCLASS.finditer(ctx.code):
+            if match.group(2):
+                continue
+            lineno = ctx.code.count("\n", 0, match.start()) + 1
+            yield Finding(
+                self.name, str(ctx.rel), lineno,
+                f"policy class {match.group(1)} is not final; declare "
+                "it final and list it in ConcretePolicies "
+                "(analysis/policy_types.hh) so replay calls its hooks "
+                "statically")
 
 
 @register

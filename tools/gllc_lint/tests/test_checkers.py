@@ -152,6 +152,30 @@ class TestConventions(LintFixture):
                    "    const char *m = \"socket() failed\"; }\n")
         self.assertEqual(self.run_checker("bare-fd"), [])
 
+    def test_policy_final_flags_non_final_policies(self):
+        self.write("src/cache/policy/a.hh",
+                   "class APolicy : public ReplacementPolicy\n{\n};\n"
+                   "struct BPolicy\n    : gllc::ReplacementPolicy {};\n")
+        findings = self.run_checker("policy-final")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/cache/policy/a.hh", 1),
+                          ("src/cache/policy/a.hh", 4)])
+        self.assertIn("APolicy", findings[0].message)
+
+    def test_policy_final_accepts_final_and_ignores_others(self):
+        self.write("src/core/b.hh",
+                   "class BPolicy final : public ReplacementPolicy {};\n"
+                   "class CPolicy final\n"
+                   "    : public ReplacementPolicy {};\n"
+                   "class Other : public ReplacementPolicyFactory {};\n"
+                   "// class D : public ReplacementPolicy\n")
+        # Test fakes and examples outside src/ need not be final.
+        self.write("tests/t.cc",
+                   "class Fake : public ReplacementPolicy {};\n")
+        self.write("examples/e.cpp",
+                   "class Pin : public ReplacementPolicy {};\n")
+        self.assertEqual(self.run_checker("policy-final"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",
