@@ -73,10 +73,16 @@ struct SweepJobSpec
 
     bool collectDramTrace = false;
     std::uint32_t threads = 1;      ///< resolved, >= 1
-    std::uint32_t frameWindow = 0;  ///< 0 = 2x threads
+    std::uint32_t frameWindow = 0;  ///< 0 = 2x threads (1 at 1 thread)
     bool progress = false;
     std::uint32_t retries = 2;
     std::uint32_t backoffMs = 25;
+    /**
+     * Wall-time budget of one cell attempt, 0 = none.  An overrun is
+     * counted and warned about; the gllcd shard runner also SIGKILLs
+     * the worker and fails the attempt, the in-process engine lets
+     * it finish (cell_attempts.hh).
+     */
     std::uint32_t cellTimeoutMs = 0;
     std::string checkpoint;         ///< journal path; "" = off
     bool resume = false;

@@ -4,14 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <thread>
 
+#include "analysis/cell_attempts.hh"
 #include "analysis/checkpoint.hh"
 #include "common/audit.hh"
 #include "common/env.hh"
-#include "common/fault.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/progress.hh"
@@ -26,9 +26,6 @@ namespace gllc
 
 namespace
 {
-
-/** Stall injected by the cell.delay fault site (watchdog fodder). */
-constexpr unsigned kInjectedDelayMs = 100;
 
 /** Render one frame trace, with an optional timeline span. */
 FrameTrace
@@ -48,43 +45,12 @@ renderFrame(const FrameSpec &frame, const RenderScale &scale)
 }
 
 /**
- * The exception boundary of everything a sweep runs on a worker:
- * returns "" on success, else a description of what was thrown.
- * Nothing may propagate into the ThreadPool, where it would take
- * the whole process (and every completed cell) down with it.
- */
-template <typename F>
-std::string
-guarded(F &&fn)
-{
-    try {
-        fn();
-        return {};
-    } catch (const std::exception &e) {
-        return e.what()[0] != '\0' ? e.what() : "unnamed exception";
-    } catch (...) {
-        return "non-standard exception";
-    }
-}
-
-/** Exponential backoff before re-attempt @p attempt (1-based). */
-void
-backoffSleep(unsigned first_delay_ms, unsigned attempt)
-{
-    if (first_delay_ms == 0)
-        return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<std::uint64_t>(first_delay_ms)
-        << (attempt - 1)));
-}
-
-/**
- * Soft per-cell timeout watchdog.  A background thread scans the
- * in-flight cells and warns (once per attempt) about any running
- * longer than the budget.  Deliberately soft: a slow cell is
- * reported and counted (sweep.cell_timeouts), never killed — the
- * replay owns no cancellable state, and a partial kill would trade
- * a slow result for a corrupt one.
+ * The thread backend's cell timeout (cell_attempts.hh): a background
+ * thread scans the in-flight attempts and warns (once per attempt)
+ * about any running longer than the budget, counting it as
+ * sweep.cell_timeouts.  The attempt is never killed — the replay
+ * owns no cancellable state, and a partial kill would trade a slow
+ * result for a corrupt one.
  */
 class CellWatchdog
 {
@@ -210,30 +176,6 @@ class WatchdogScope
     CellWatchdog &watchdog_;
     std::size_t k_;
 };
-
-/**
- * Keyed fault-injection draws for one cell attempt.  The key hashes
- * the cell's logical coordinates (not any execution index), so the
- * set of injected failures is identical at any thread count, and a
- * later attempt of the same cell draws independently — which is what
- * makes retry-then-succeed paths reproducible.
- */
-void
-injectCellFaults(const SweepCell &cell, unsigned attempt)
-{
-    if (!faultsActive())
-        return;
-    const std::uint64_t key =
-        fnv1a64(cell.key.policy, fnv1a64(cell.key.app))
-        ^ mix64(
-            (static_cast<std::uint64_t>(cell.key.frameIndex) << 8)
-            | attempt);
-    if (faultFires(FaultSite::CellDelay, key))
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(kInjectedDelayMs));
-    if (faultFires(FaultSite::CellThrow, key))
-        throwInjectedFault(FaultSite::CellThrow);
-}
 
 } // namespace
 
@@ -502,37 +444,21 @@ SweepConfig::run(const CellObserver &observer) const
     const std::size_t num_frames = frames_.size();
     const std::size_t num_cells = num_frames * num_policies;
     const unsigned nthreads = job.threads;
-    const unsigned max_attempts = job.retries + 1;
-    const unsigned backoff_ms = job.backoffMs;
-    const unsigned timeout_ms = job.cellTimeoutMs;
     const std::string &checkpoint_path = job.checkpoint;
     const bool resuming = job.resume && !checkpoint_path.empty();
+    std::vector<std::string> policy_names = policyNames();
 
-    SweepResult result;
-    result.policies_ = policyNames();
-    result.scale_ = scale_;
-    result.llcConfig_ = llcConfig_;
-    result.threadsUsed_ = nthreads;
-
-    // Working state, one slot per (frame, policy) cell; the slots
-    // are compacted into cells_ / quarantined_ at the end.
-    enum class CellState : std::uint8_t
-    {
-        Pending,
-        Ok,
-        Restored,
-        Quarantined,
-    };
-    std::vector<SweepCell> cells(num_cells);
-    std::vector<CellState> states(num_cells, CellState::Pending);
-    std::vector<std::string> errors(num_cells);
+    // Working state, one slot per (frame, policy) cell; SweepResult
+    // compacts the slots at the end.
+    using State = CellOutcome::State;
+    std::vector<CellOutcome> outcomes(num_cells);
 
     CheckpointMeta meta;
     meta.scaleLinear = scale_.linear;
     meta.llcBytes = llcConfig_.capacityBytes;
     meta.llcWays = llcConfig_.ways;
     meta.llcBanks = llcConfig_.banks;
-    meta.policies = result.policies_;
+    meta.policies = policy_names;
 
     bool journal_append = false;
     if (resuming) {
@@ -567,9 +493,9 @@ SweepConfig::run(const CellObserver &observer) const
                                 specs_[p].name});
                     if (it == contents.cells.end())
                         continue;
-                    const std::size_t k = f * num_policies + p;
-                    cells[k] = std::move(it->second);
-                    states[k] = CellState::Restored;
+                    CellOutcome &out = outcomes[f * num_policies + p];
+                    out.cell = std::move(it->second);
+                    out.state = State::Restored;
                 }
             }
         }
@@ -584,9 +510,11 @@ SweepConfig::run(const CellObserver &observer) const
             checkpoint_path, meta, journal_append);
 
     // Window of frames whose traces live in memory concurrently.
+    // One thread holds one frame: one trace alive, and observer
+    // rows fire frame by frame.
     std::size_t window = job.frameWindow;
     if (window == 0)
-        window = 2 * static_cast<std::size_t>(nthreads);
+        window = nthreads == 1 ? 1 : 2 * static_cast<std::size_t>(nthreads);
     // Each in-flight cell of a DRAM-trace run retains a bulky
     // trace until observed, so keep fewer frames open.
     if (collectDram_)
@@ -598,7 +526,7 @@ SweepConfig::run(const CellObserver &observer) const
     const auto start = std::chrono::steady_clock::now();
 
     CellWatchdog watchdog(
-        timeout_ms, num_cells,
+        job.cellTimeoutMs, num_cells,
         [this, num_policies](std::size_t k) {
             const FrameSpec &frame = frames_[k / num_policies];
             return frame.app->name + " frame "
@@ -634,97 +562,86 @@ SweepConfig::run(const CellObserver &observer) const
     // Sampled once per sweep; the per-cell bookkeeping below never
     // re-reads the metrics switch.
     const bool metrics_on = metricsActive();
-
-    // One cell under the full fault boundary: bounded retries with
-    // exponential backoff, then quarantine.
-    const auto attempt_cell = [&](std::size_t k,
-                                  const FrameSpec &frame,
-                                  const FrameTrace &trace) {
-        const PolicySpec &spec = specs_[k % num_policies];
-        SweepCell &cell = cells[k];
-        cell.key = {frame.app->name, frame.frameIndex, spec.name};
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            cell.attempts = attempt;
-            const std::string error = guarded([&] {
-                injectCellFaults(cell, attempt);
-                WatchdogScope in_flight(watchdog, k);
-                replay_cell(cell, trace, spec);
-            });
-            if (error.empty()) {
-                states[k] = CellState::Ok;
-                return;
-            }
-            errors[k] = error;
-            if (attempt < max_attempts) {
-                if (metrics_on)
-                    MetricsRegistry::instance().addCounter(
-                        "sweep.retries");
-                backoffSleep(backoff_ms, attempt);
-            }
-        }
-        states[k] = CellState::Quarantined;
-        warn("quarantined cell %s after %u attempt(s): %s",
-             cell.key.toString().c_str(), cell.attempts,
-             errors[k].c_str());
+    const unsigned max_attempts = job.retries + 1;
+    const auto count_retry = [metrics_on](unsigned,
+                                          const std::string &) {
+        if (metrics_on)
+            MetricsRegistry::instance().addCounter("sweep.retries");
+    };
+    const auto quarantine = [&](CellOutcome &out, std::string error) {
+        out.state = State::Quarantined;
+        out.error = std::move(error);
         if (metrics_on)
             MetricsRegistry::instance().addCounter(
                 "sweep.quarantined");
     };
 
-    // Frame rendering under the same retry discipline; a frame that
+    // One cell under the shared attempt policy (cell_attempts.hh).
+    const auto attempt_cell = [&](std::size_t k,
+                                  const FrameSpec &frame,
+                                  const FrameTrace &trace) {
+        const PolicySpec &spec = specs_[k % num_policies];
+        CellOutcome &out = outcomes[k];
+        out.cell.key = {frame.app->name, frame.frameIndex, spec.name};
+        const AttemptsResult run = runAttempts(
+            max_attempts, job.backoffMs,
+            [&](unsigned attempt) {
+                WatchdogScope in_flight(watchdog, k);
+                return guardedCall([&] {
+                    injectCellFaults(cellFaultKey(out.cell.key, attempt));
+                    replay_cell(out.cell, trace, spec);
+                });
+            },
+            count_retry);
+        out.cell.attempts = run.attempts;
+        if (run.ok()) {
+            out.state = State::Ok;
+            return;
+        }
+        warn("quarantined cell %s after %u attempt(s): %s",
+             out.cell.key.toString().c_str(), run.attempts,
+             run.error.c_str());
+        quarantine(out, run.error);
+    };
+
+    // Frame rendering under the same attempt policy; a frame that
     // cannot be produced quarantines its pending cells.
     struct RenderedFrame
     {
         FrameTrace trace;
-        bool ok = false;
-        std::string error;
-        unsigned attempts = 0;
+        AttemptsResult render;
     };
 
     const auto render_checked = [&](const FrameSpec &frame) {
         RenderedFrame out;
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            out.attempts = attempt;
-            const std::string error = guarded(
-                [&] { out.trace = renderFrame(frame, scale_); });
-            if (error.empty()) {
-                out.ok = true;
-                return out;
-            }
-            out.error = error;
-            if (attempt < max_attempts) {
-                if (metrics_on)
-                    MetricsRegistry::instance().addCounter(
-                        "sweep.retries");
-                backoffSleep(backoff_ms, attempt);
-            }
-        }
-        warn("frame %s %u failed to render after %u attempt(s): %s",
-             frame.app->name.c_str(), frame.frameIndex,
-             out.attempts, out.error.c_str());
+        out.render = runAttempts(
+            max_attempts, job.backoffMs,
+            [&](unsigned) {
+                return guardedCall(
+                    [&] { out.trace = renderFrame(frame, scale_); });
+            },
+            count_retry);
+        if (!out.render.ok())
+            warn("frame %s %u failed to render after %u attempt(s): "
+                 "%s", frame.app->name.c_str(), frame.frameIndex,
+                 out.render.attempts, out.render.error.c_str());
         return out;
     };
 
     const auto mark_render_failed = [&](std::size_t k,
                                         const FrameSpec &frame,
-                                        const RenderedFrame &r) {
-        SweepCell &cell = cells[k];
-        cell.key = {frame.app->name, frame.frameIndex,
-                    specs_[k % num_policies].name};
-        cell.attempts = r.attempts;
-        errors[k] = "frame render failed: " + r.error;
-        states[k] = CellState::Quarantined;
-        if (metrics_on)
-            MetricsRegistry::instance().addCounter(
-                "sweep.quarantined");
+                                        const AttemptsResult &render) {
+        CellOutcome &out = outcomes[k];
+        out.cell.key = {frame.app->name, frame.frameIndex,
+                        specs_[k % num_policies].name};
+        out.cell.attempts = render.attempts;
+        quarantine(out, "frame render failed: " + render.error);
     };
 
     /** Does any cell of global frame @p f still need its trace? */
     const auto frame_pending = [&](std::size_t f) {
         for (std::size_t p = 0; p < num_policies; ++p) {
-            if (states[f * num_policies + p] == CellState::Pending)
+            if (outcomes[f * num_policies + p].state == State::Pending)
                 return true;
         }
         return false;
@@ -734,12 +651,12 @@ SweepConfig::run(const CellObserver &observer) const
     // fresh cells are journaled, bulky traces are dropped.
     std::size_t done = 0;
     const auto finish_cell = [&](std::size_t k,
-                                 const FrameTrace *trace) {
-        SweepCell &cell = cells[k];
-        switch (states[k]) {
-          case CellState::Ok:
-            if (observer && trace != nullptr)
-                observer(cell, *trace);
+                                 const FrameTrace &trace) {
+        SweepCell &cell = outcomes[k].cell;
+        switch (outcomes[k].state) {
+          case State::Ok:
+            if (observer)
+                observer(cell, trace);
             if (journal)
                 journal->append(cell);
             if (metrics_on)
@@ -748,139 +665,117 @@ SweepConfig::run(const CellObserver &observer) const
             cell.result.dramTrace.clear();
             cell.result.dramTrace.shrink_to_fit();
             break;
-          case CellState::Restored:
+          case State::Restored:
             if (metrics_on)
                 MetricsRegistry::instance().addCounter(
                     "sweep.cells_restored");
             break;
-          case CellState::Quarantined:
+          case State::Quarantined:
             break;
-          case CellState::Pending:
+          case State::Pending:
             panic("sweep cell %zu was never executed", k);
         }
         progress.update(++done);
     };
 
-    if (nthreads == 1) {
-        // Serial fallback (GLLC_THREADS=1): no pool, no extra
-        // trace buffering.
-        for (std::size_t f = 0; f < num_frames; ++f) {
-            const FrameSpec &frame = frames_[f];
-            RenderedFrame rendered;
-            if (frame_pending(f))
-                rendered = render_checked(frame);
-            for (std::size_t p = 0; p < num_policies; ++p) {
-                const std::size_t k = f * num_policies + p;
-                if (states[k] == CellState::Pending) {
-                    if (rendered.ok)
-                        attempt_cell(k, frame, rendered.trace);
-                    else
-                        mark_render_failed(k, frame, rendered);
-                }
-                finish_cell(k,
-                            rendered.ok ? &rendered.trace : nullptr);
-            }
+    // One thread fans out inline on the calling thread: a pool
+    // thread would only add its own malloc arena to the peak RSS.
+    std::optional<ThreadPool> pool;
+    if (nthreads > 1)
+        pool.emplace(nthreads);
+    const auto fan_out = [&](std::size_t n,
+                             const std::function<void(std::size_t)> &fn) {
+        if (pool) {
+            pool->parallelFor(n, fn);
+            return;
         }
-    } else {
-        ThreadPool pool(nthreads);
-        for (std::size_t base = 0; base < num_frames;
-             base += window) {
-            const std::size_t block =
-                std::min(window, num_frames - base);
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+    };
 
-            const std::string window_tag =
-                "frames " + std::to_string(base) + ".."
-                + std::to_string(base + block - 1);
+    for (std::size_t base = 0; base < num_frames; base += window) {
+        const std::size_t block = std::min(window, num_frames - base);
 
-            // Produce the block's still-needed traces once, in
-            // parallel; immutable from here on.
-            std::vector<RenderedFrame> rendered(block);
-            {
-                TraceSpan phase("phase", "render " + window_tag);
-                pool.parallelFor(block, [&](std::size_t i) {
-                    if (frame_pending(base + i))
-                        rendered[i] =
-                            render_checked(frames_[base + i]);
-                });
-            }
+        const std::string window_tag =
+            "frames " + std::to_string(base) + ".."
+            + std::to_string(base + block - 1);
 
-            // Replay every pending (frame, policy) cell of the
-            // block concurrently into its preallocated slot.
-            {
-                TraceSpan phase("phase", "replay " + window_tag);
-                pool.parallelFor(
-                    block * num_policies, [&](std::size_t idx) {
-                        const std::size_t f = idx / num_policies;
-                        const std::size_t p = idx % num_policies;
-                        const std::size_t k =
-                            (base + f) * num_policies + p;
-                        if (states[k] != CellState::Pending)
-                            return;
-                        if (rendered[f].ok)
-                            attempt_cell(k, frames_[base + f],
-                                         rendered[f].trace);
-                        else
-                            mark_render_failed(k, frames_[base + f],
-                                               rendered[f]);
-                    });
-            }
+        // Produce the block's still-needed traces once, in parallel;
+        // immutable from here on.
+        std::vector<RenderedFrame> rendered(block);
+        {
+            TraceSpan phase("phase", "render " + window_tag);
+            fan_out(block, [&](std::size_t i) {
+                if (frame_pending(base + i))
+                    rendered[i] = render_checked(frames_[base + i]);
+            });
+        }
 
-            // Merge: observers fire in sweep order regardless of
-            // completion order.
-            TraceSpan phase("phase", "merge " + window_tag);
-            for (std::size_t f = 0; f < block; ++f) {
-                for (std::size_t p = 0; p < num_policies; ++p) {
-                    finish_cell((base + f) * num_policies + p,
-                                rendered[f].ok ? &rendered[f].trace
-                                               : nullptr);
-                }
-            }
+        // Replay every pending (frame, policy) cell of the block
+        // concurrently into its preallocated slot.
+        {
+            TraceSpan phase("phase", "replay " + window_tag);
+            fan_out(block * num_policies, [&](std::size_t idx) {
+                const std::size_t f = idx / num_policies;
+                const std::size_t k =
+                    (base + f) * num_policies + idx % num_policies;
+                if (outcomes[k].state != State::Pending)
+                    return;
+                if (rendered[f].render.ok())
+                    attempt_cell(k, frames_[base + f], rendered[f].trace);
+                else
+                    mark_render_failed(k, frames_[base + f],
+                                       rendered[f].render);
+            });
+        }
+
+        // Merge: observers fire in sweep order regardless of
+        // completion order.
+        TraceSpan phase("phase", "merge " + window_tag);
+        for (std::size_t f = 0; f < block; ++f) {
+            for (std::size_t p = 0; p < num_policies; ++p)
+                finish_cell((base + f) * num_policies + p,
+                            rendered[f].trace);
         }
     }
 
-    // Compact the slots: surviving cells keep deterministic sweep
-    // order, failures move to the quarantine manifest.
-    result.cells_.reserve(num_cells);
-    for (std::size_t k = 0; k < num_cells; ++k) {
-        if (states[k] == CellState::Quarantined) {
-            result.quarantined_.push_back(
-                {cells[k].key, errors[k], cells[k].attempts});
-            continue;
-        }
-        if (states[k] == CellState::Restored)
-            ++result.restoredCells_;
-        result.cells_.push_back(std::move(cells[k]));
-    }
-
-    result.wallSeconds_ = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    return result;
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    return SweepResult(std::move(policy_names), scale_, llcConfig_,
+                       std::move(outcomes), wall, nthreads);
 }
 
 // ---------------------------------------------------------------
 // SweepResult
 // ---------------------------------------------------------------
 
-SweepResult
-SweepResult::fromParts(std::vector<std::string> policies,
-                       const RenderScale &scale,
-                       const LlcConfig &llc_config,
-                       std::vector<SweepCell> cells,
-                       std::vector<QuarantinedCell> quarantined,
-                       std::size_t restored_cells,
-                       double wall_seconds, unsigned threads_used)
+SweepResult::SweepResult(std::vector<std::string> policies,
+                         const RenderScale &scale,
+                         const LlcConfig &llc_config,
+                         std::vector<CellOutcome> outcomes,
+                         double wall_seconds, unsigned threads_used)
+    : policies_(std::move(policies)), scale_(scale),
+      llcConfig_(llc_config), wallSeconds_(wall_seconds),
+      threadsUsed_(threads_used)
 {
-    SweepResult result;
-    result.policies_ = std::move(policies);
-    result.scale_ = scale;
-    result.llcConfig_ = llc_config;
-    result.cells_ = std::move(cells);
-    result.quarantined_ = std::move(quarantined);
-    result.restoredCells_ = restored_cells;
-    result.wallSeconds_ = wall_seconds;
-    result.threadsUsed_ = threads_used;
-    return result;
+    // Surviving cells keep deterministic sweep order; failures move
+    // to the quarantine manifest.
+    cells_.reserve(outcomes.size());
+    for (CellOutcome &out : outcomes) {
+        GLLC_ASSERT_MSG(out.state != CellOutcome::State::Pending,
+                        "sweep cell %s left unexecuted",
+                        out.cell.key.toString().c_str());
+        if (out.state == CellOutcome::State::Quarantined) {
+            quarantined_.push_back(
+                {std::move(out.cell.key), std::move(out.error),
+                 out.cell.attempts});
+            continue;
+        }
+        if (out.state == CellOutcome::State::Restored)
+            ++restoredCells_;
+        cells_.push_back(std::move(out.cell));
+    }
 }
 
 std::vector<std::string>

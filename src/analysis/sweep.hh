@@ -20,14 +20,16 @@
  * (app, frame) and each replay is deterministic in isolation.
  *
  * Fault model.  A multi-hour batch sweep must not die because one
- * cell does: every cell attempt runs under an exception boundary
- * with bounded retry and exponential backoff, and a cell that
- * exhausts its budget is quarantined — recorded with its error and
- * attempt count in SweepResult::quarantined() and in the CSV/JSON
- * artifacts — while every other cell still completes.  A soft
- * watchdog warns about cells exceeding a wall-clock budget without
- * killing them.  With GLLC_CHECKPOINT set, completed cells are
- * journaled (JSON lines, fsync'd batches; see analysis/checkpoint);
+ * cell does: cells run under the cell-attempt policy shared with the
+ * gllcd shard runner (analysis/cell_attempts.hh) — an exception
+ * boundary per attempt, bounded retry with exponential backoff — and
+ * a cell that exhausts its budget is quarantined — recorded with its
+ * error and attempt count in SweepResult::quarantined() and in the
+ * CSV/JSON artifacts — while every other cell still completes.  An
+ * attempt that overruns the cell timeout is warned about and
+ * counted, then left to finish.  With GLLC_CHECKPOINT set,
+ * completed cells are journaled (JSON lines, fsync'd batches; see
+ * analysis/checkpoint);
  * resume() — the benches' --resume flag — replays the journal and
  * re-executes only missing cells, merging to a byte-identical
  * SweepResult.  Restored cells do not re-fire the CellObserver (the
@@ -35,17 +37,19 @@
  * timing runs should resume with that in mind.
  *
  * Knobs (environment, overridable per SweepConfig):
- *   GLLC_THREADS         worker count (1 = serial in-thread
- *                        fallback; default: hardware concurrency)
+ *   GLLC_THREADS         worker count (default: hardware
+ *                        concurrency)
  *   GLLC_FRAME_WINDOW    frames whose traces may be cached in
- *                        memory at once (default 2x threads)
+ *                        memory at once (default 2x threads; 1 at
+ *                        one thread, the serial cadence)
  *   GLLC_PROGRESS        1/0 forces cells/s + ETA reporting
  *   GLLC_CELL_RETRIES    re-attempts after a cell's first failure
  *                        (default 2)
  *   GLLC_CELL_BACKOFF_MS first retry delay, doubled per attempt
  *                        (default 25)
- *   GLLC_CELL_TIMEOUT_MS soft per-cell watchdog budget (default 0
- *                        = disabled)
+ *   GLLC_CELL_TIMEOUT_MS wall-time budget of one cell attempt;
+ *                        an overrun is warned about and counted,
+ *                        never killed (default 0 = disabled)
  *   GLLC_CHECKPOINT      journal path for checkpoint/resume
  *   GLLC_RESUME          1 resumes from GLLC_CHECKPOINT (the
  *                        benches' --resume flag does the same)
@@ -89,6 +93,29 @@ struct QuarantinedCell
 };
 
 /**
+ * How one cell of a sweep ended.  Both executors (SweepConfig::run
+ * and the gllcd shard runner) fill one slot per cell and hand the
+ * slots to SweepResult, which compacts them.
+ */
+struct CellOutcome
+{
+    enum class State : std::uint8_t
+    {
+        Pending,
+        Ok,
+        Restored,     ///< read back from a checkpoint journal
+        Quarantined,
+    };
+    State state = State::Pending;
+
+    /** Key and attempts always; the result only when it survived. */
+    SweepCell cell;
+
+    /** The last attempt's error (Quarantined only). */
+    std::string error;
+};
+
+/**
  * Completed sweep: the surviving cells in deterministic Table-1
  * order (frames in frame-set order, policies in configured order
  * within each frame), the quarantined cells, plus the aggregation
@@ -99,6 +126,18 @@ class SweepResult
   public:
     /** Per-cell scalar metric, e.g. missMetric. */
     using Metric = std::function<double(const RunResult &)>;
+
+    SweepResult() = default;
+
+    /**
+     * Compact one outcome per cell, given in sweep order (frame-major,
+     * policies in configured order), into the surviving cells and the
+     * quarantine manifest.  No outcome may still be Pending.
+     */
+    SweepResult(std::vector<std::string> policies,
+                const RenderScale &scale, const LlcConfig &llc_config,
+                std::vector<CellOutcome> outcomes, double wall_seconds,
+                unsigned threads_used);
 
     const std::vector<SweepCell> &cells() const { return cells_; }
     const std::vector<std::string> &policies() const
@@ -156,23 +195,7 @@ class SweepResult
     void writeCsv(std::ostream &os) const;
     void writeJson(std::ostream &os) const;
 
-    /**
-     * Assemble a result from externally-computed parts — the sweep
-     * service reassembles worker-shard cells through this.  Cells
-     * and quarantined entries must already be in deterministic
-     * sweep order; run() produces results through its own path.
-     */
-    static SweepResult
-    fromParts(std::vector<std::string> policies,
-              const RenderScale &scale, const LlcConfig &llc_config,
-              std::vector<SweepCell> cells,
-              std::vector<QuarantinedCell> quarantined,
-              std::size_t restored_cells, double wall_seconds,
-              unsigned threads_used);
-
   private:
-    friend class SweepConfig;
-
     std::vector<std::string> policies_;
     RenderScale scale_;
     LlcConfig llcConfig_;
@@ -225,7 +248,9 @@ class SweepConfig
 
     /**
      * Max frames whose traces are held in memory at once; 0 =
-     * GLLC_FRAME_WINDOW / 2x threads.  DRAM-trace collection
+     * GLLC_FRAME_WINDOW / 2x threads (one frame at one thread: one
+     * trace alive, observer rows frame by frame).  DRAM-trace
+     * collection
      * narrows the effective window to the thread count, because
      * each in-flight cell then retains a bulky trace.
      */
@@ -240,7 +265,11 @@ class SweepConfig
     /** First retry delay in ms (doubled per attempt); -1 = env. */
     SweepConfig &backoffMs(int ms);
 
-    /** Soft per-cell watchdog budget in ms; 0 off, -1 = env. */
+    /**
+     * Wall-time budget of one cell attempt in ms (0 off, -1 = env):
+     * an overrun is warned about and counted (sweep.cell_timeouts),
+     * then left to finish — a replay stopped midway would be corrupt.
+     */
     SweepConfig &cellTimeoutMs(int ms);
 
     /** Checkpoint journal path ("" = GLLC_CHECKPOINT / none). */

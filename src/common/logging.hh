@@ -30,7 +30,7 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**
  * Print one untagged line to stderr.  For the bodies of structured
  * multi-line reports (audit aborts, decision-log dumps) where a
- * "warn:" prefix on every line would be noise; tools/lint.py bans
+ * "warn:" prefix on every line would be noise; gllc_lint bans
  * raw fprintf(stderr, ...) outside the logging/progress layers, so
  * this is the sanctioned way to emit such lines.
  */
@@ -39,7 +39,7 @@ void note(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**
  * Assert-like check for invariants whose violation would silently
  * corrupt results.  Active by default in every build type (the
- * repo's bare-assert replacement: tools/lint.py rejects <cassert>'s
+ * repo's bare-assert replacement: gllc_lint rejects <cassert>'s
  * assert()); configuring with -DGLLC_ASSERTS=OFF compiles both
  * macros to a no-op that still odr-uses its operands inside a dead
  * branch, so release builds raise no -Wunused-* warnings for

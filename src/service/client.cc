@@ -167,12 +167,6 @@ statusRoundTrip(int fd, const std::string &envelope)
 } // namespace
 
 Result<std::string>
-ServiceClient::status()
-{
-    return statusRoundTrip(fd_, statusEnvelopeJson());
-}
-
-Result<std::string>
 ServiceClient::statusV2()
 {
     return statusRoundTrip(fd_, statusV2EnvelopeJson());

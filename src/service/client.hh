@@ -62,9 +62,6 @@ class ServiceClient
            const std::string &tenant = "default",
            int priority = 0, ShedInfo *shed = nullptr);
 
-    /** Fetch the daemon's status document (raw JSON). */
-    [[nodiscard]] Result<std::string> status();
-
     /**
      * Fetch the telemetry status document (raw JSON): queue depth
      * per priority class, counters, latency quantiles — what

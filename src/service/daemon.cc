@@ -526,9 +526,6 @@ SweepDaemon::serveConnection(int fd)
         case RequestType::Submit:
             keep_going = handleSubmit(fd, envelope.value());
             break;
-        case RequestType::Status:
-            keep_going = handleStatus(fd);
-            break;
         case RequestType::StatusV2:
             keep_going = handleStatusV2(fd);
             break;
@@ -839,38 +836,6 @@ SweepDaemon::cancelAbandonedJob(
                 .num("job", static_cast<std::int64_t>(job_id))
                 .str("tenant", tenant));
     return true;
-}
-
-std::string
-SweepDaemon::statusJson()
-{
-    std::string out = "{\"gllcd\":";
-    out += std::to_string(kServiceProtocolVersion);
-    out += ",\"type\":\"status\",\"queue_depth\":";
-    out += std::to_string(queue_.depth());
-    out += ",\"jobs_submitted\":";
-    out += std::to_string(jobsSubmitted_.load());
-    out += ",\"jobs_completed\":";
-    out += std::to_string(jobsCompleted_.load());
-    out += ",\"jobs_failed\":";
-    out += std::to_string(jobsFailed_.load());
-    out += ",\"cache_hits\":";
-    out += std::to_string(cacheHits_.load());
-    out += ",\"inflight_joins\":";
-    out += std::to_string(inflightJoins_.load());
-    out += ",\"worker_crashes\":";
-    out += std::to_string(workerCrashes_.load());
-    out += ",\"cell_timeouts\":";
-    out += std::to_string(cellTimeouts_.load());
-    out += '}';
-    return out;
-}
-
-bool
-SweepDaemon::handleStatus(int fd)
-{
-    return writeFrame(fd, statusJson(), options_.connTimeoutMs)
-        .ok();
 }
 
 std::string

@@ -225,9 +225,7 @@ class SweepDaemon
         GLLC_EXCLUDES(inflightMutex_);
     bool handleSubmit(int fd, const RequestEnvelope &envelope)
         GLLC_EXCLUDES(inflightMutex_);
-    bool handleStatus(int fd);
     bool handleStatusV2(int fd);
-    std::string statusJson();
     std::string statusV2Json();
     void countMetric(const char *name);
 

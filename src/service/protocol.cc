@@ -360,15 +360,6 @@ submitEnvelopeJson(const std::string &tenant, int priority)
 }
 
 std::string
-statusEnvelopeJson()
-{
-    std::string out = "{\"gllcd\":";
-    out += std::to_string(kServiceProtocolVersion);
-    out += ",\"type\":\"status\"}";
-    return out;
-}
-
-std::string
 statusV2EnvelopeJson()
 {
     std::string out = "{\"gllcd\":";
@@ -411,8 +402,6 @@ parseRequestEnvelope(const std::string &json)
         return type_name.error();
     if (type_name.value() == "submit")
         env.type = RequestType::Submit;
-    else if (type_name.value() == "status")
-        env.type = RequestType::Status;
     else if (type_name.value() == "status_v2")
         env.type = RequestType::StatusV2;
     else

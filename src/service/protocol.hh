@@ -18,8 +18,6 @@
  *            <- result frame   {"gllcd":1,"type":"result",...}
  *               payload frame  exact writeSweepJson() bytes
  *               (or one error frame)
- *   status   -> envelope frame {"gllcd":1,"type":"status"}
- *            <- status frame   {"gllcd":1,"type":"status",...}
  *   status_v2-> envelope frame {"gllcd":1,"type":"status_v2"}
  *            <- status frame   {"gllcd":1,"type":"status_v2",
  *                               "uptime_seconds":...,"queue":{...},
@@ -41,11 +39,11 @@
  * worker.cc's pipe reader) are the only sanctioned raw-fd IO in
  * src/service/; gllc-lint enforces that.
  *
- * status_v2 is the telemetry view gllc-top polls: queue depth per
- * priority class, job counters, cache hit rate, and rolling
- * p50/p95 latency quantiles read from the metrics registry.  It is
- * additive — same version, new request type — so old clients keep
- * speaking plain status untouched.
+ * status_v2 is the one status request: queue depth per priority
+ * class, job counters, worker crashes and cell timeouts, cache hit
+ * rate, and rolling p50/p95 latency quantiles read from the metrics
+ * registry — what gllc-top polls and `gllc-submit --status` prints.
+ * A plain "status" request is an unknown type (InvalidArgument).
  *
  * The spec travels as its own frame, byte-for-byte the canonical
  * SweepJobSpec serialization, so the daemon parses it with the same
@@ -127,14 +125,13 @@ bool peerClosed(int fd);
 enum class RequestType : std::uint8_t
 {
     Submit,
-    Status,
     StatusV2,
 };
 
 /** Parsed request envelope (the spec arrives in its own frame). */
 struct RequestEnvelope
 {
-    RequestType type = RequestType::Status;
+    RequestType type = RequestType::Submit;
     std::string tenant = "default";
     int priority = 0;
 };
@@ -142,9 +139,6 @@ struct RequestEnvelope
 /** Serialize a submit envelope. */
 std::string submitEnvelopeJson(const std::string &tenant,
                                int priority);
-
-/** Serialize a status envelope. */
-std::string statusEnvelopeJson();
 
 /** Serialize a status_v2 (telemetry status) envelope. */
 std::string statusV2EnvelopeJson();

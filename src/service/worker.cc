@@ -20,12 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/cell_attempts.hh"
 #include "analysis/checkpoint.hh"
 #include "analysis/offline_sim.hh"
 #include "analysis/policy_table.hh"
 #include "common/env.hh"
 #include "common/fault.hh"
-#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -117,45 +117,6 @@ parseFailedCellLine(const std::string &line, FailedCell &out)
     return true;
 }
 
-/**
- * The fault key of a cell attempt — the exact formula the in-process
- * engine uses, so GLLC_FAULT reproduces the same failing cells
- * whether a sweep runs in-process or sharded over workers.
- */
-std::uint64_t
-cellFaultKey(const CellKey &key, unsigned attempt)
-{
-    return fnv1a64(key.policy, fnv1a64(key.app))
-        ^ mix64((static_cast<std::uint64_t>(key.frameIndex) << 8)
-                | attempt);
-}
-
-/** Exception boundary (mirrors the sweep engine's guarded()). */
-template <typename F>
-std::string
-guardedCall(F &&fn)
-{
-    try {
-        fn();
-        return {};
-    } catch (const std::exception &e) {
-        return e.what()[0] != '\0' ? e.what() : "unnamed exception";
-    } catch (...) {
-        return "non-standard exception";
-    }
-}
-
-/** Exponential backoff before re-attempt @p attempt (1-based). */
-void
-retryBackoff(unsigned first_delay_ms, unsigned attempt)
-{
-    if (first_delay_ms == 0)
-        return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<std::uint64_t>(first_delay_ms)
-        << (attempt - 1)));
-}
-
 /** Write all bytes; false on unrecoverable error (EPIPE, ...). */
 bool
 writeAll(int fd, const char *buf, std::size_t len)
@@ -243,9 +204,6 @@ emitCellEvent(const ShardTelemetry *telemetry, const char *type,
         event.str("error", detail);
     telemetry->events->emit(event);
 }
-
-/** Stall injected by the cell.delay fault site (mirrors sweep.cc). */
-constexpr unsigned kInjectedDelayMs = 100;
 
 /** How a receive() attempt ended. */
 enum class RecvStatus
@@ -529,16 +487,6 @@ struct SharedStats
     ShardedRunStats stats GLLC_GUARDED_BY(mutex);
 };
 
-/** Outcome slot of one cell of a sharded run. */
-struct CellOutcome
-{
-    bool done = false;
-    bool ok = false;
-    SweepCell cell;
-    std::string error;
-    unsigned attempts = 0;
-};
-
 /**
  * Drive one worker's shard of cells to completion (one thread per
  * worker runs this).  Crashes respawn the worker and retry the
@@ -607,19 +555,18 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
         const CellKey expect{spec.frames[frame_idx].app,
                              spec.frames[frame_idx].frameIndex,
                              spec.policies[policy_idx]};
-        for (unsigned attempt = 1;; ++attempt) {
-            out.attempts = attempt;
+        out.cell.key = expect;
+        // One attempt: (re)spawn a worker if none is alive, send the
+        // request, read and parse the reply.  Every failure, spawn
+        // included, costs one attempt of the same budget.
+        const auto attempt_cell = [&](unsigned attempt) -> std::string {
             if (!proc.alive()) {
-                if (!proc.spawn(exe, spec_line)) {
-                    out.done = true;
-                    out.error = "cannot spawn worker " + exe;
-                    break;
-                }
+                if (!proc.spawn(exe, spec_line))
+                    return "cannot spawn worker " + exe;
                 note_spawn();
                 send_trace_context();
             }
-            const auto attempt_start =
-                std::chrono::steady_clock::now();
+            const auto attempt_start = std::chrono::steady_clock::now();
             std::string line;
             RecvStatus received = RecvStatus::Eof;
             if (proc.send(cellRequestLine(frame_idx, policy_idx,
@@ -645,68 +592,48 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
                 const std::string how = proc.shutdown();
                 warn("gllcd worker %s (%s) on cell %s (attempt %u)",
                      hung ? "hung past the cell timeout" : "died",
-                     how.c_str(), expect.toString().c_str(),
-                     attempt);
-                if (attempt >= max_attempts) {
-                    out.done = true;
-                    out.error = hung
-                        ? "cell exceeded timeout "
-                            + std::to_string(spec.cellTimeoutMs)
-                            + " ms"
-                        : "worker crashed (" + how + ")";
-                    break;
-                }
-                emitCellEvent(telemetry, "cell_retry", expect,
-                              attempt,
-                              hung ? "cell timeout"
-                                   : "worker crashed (" + how + ")");
-                retryBackoff(spec.backoffMs, attempt);
-                continue;
+                     how.c_str(), expect.toString().c_str(), attempt);
+                if (hung)
+                    return "cell exceeded timeout "
+                        + std::to_string(spec.cellTimeoutMs) + " ms";
+                return "worker crashed (" + how + ")";
             }
 
             note_frame_source(takeFrameSource(line));
             SweepCell cell;
             if (parseCheckpointCellLine(line, cell)
                 && cell.key == expect) {
-                out.done = true;
-                out.ok = true;
                 out.cell = std::move(cell);
-                break;
+                return "";
             }
             FailedCell failed;
-            if (parseFailedCellLine(line, failed)
-                && failed.key == expect) {
-                if (attempt >= max_attempts) {
-                    out.done = true;
-                    out.error = failed.error;
-                    break;
-                }
-                emitCellEvent(telemetry, "cell_retry", expect,
-                              attempt, failed.error);
-                retryBackoff(spec.backoffMs, attempt);
-                continue;
-            }
+            if (parseFailedCellLine(line, failed) && failed.key == expect
+                && !failed.error.empty())
+                return failed.error;
             // Unparseable response: the worker is off the rails;
             // treat it like a crash of this cell.
             const std::string how = proc.shutdown();
             note_crash();
             warn("gllcd worker spoke garbage (%s) on cell %s",
                  how.c_str(), expect.toString().c_str());
-            if (attempt >= max_attempts) {
-                out.done = true;
-                out.error = "worker protocol failure (" + how + ")";
-                break;
-            }
-            emitCellEvent(telemetry, "cell_retry", expect, attempt,
-                          "worker protocol failure");
-            retryBackoff(spec.backoffMs, attempt);
-        }
+            return "worker protocol failure (" + how + ")";
+        };
+        const AttemptsResult run = runAttempts(
+            max_attempts, spec.backoffMs, attempt_cell,
+            [&](unsigned attempt, const std::string &error) {
+                emitCellEvent(telemetry, "cell_retry", expect, attempt,
+                              error);
+            });
+        out.cell.attempts = run.attempts;
+        out.state = run.ok() ? CellOutcome::State::Ok
+                             : CellOutcome::State::Quarantined;
+        out.error = run.error;
         if (metricsActive())
             MetricsRegistry::instance().recordValue(
-                "gllcd.cell.attempts", out.attempts);
-        if (!out.ok)
+                "gllcd.cell.attempts", run.attempts);
+        if (!run.ok())
             emitCellEvent(telemetry, "cell_quarantined", expect,
-                          out.attempts, out.error);
+                          run.attempts, run.error);
     }
     proc.shutdown();
 }
@@ -757,27 +684,6 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
             t.join();
     }
 
-    // Merge in deterministic engine order: surviving cells first
-    // (frame-major, policy-minor), quarantined cells alongside.
-    std::vector<SweepCell> cells;
-    cells.reserve(outcomes.size());
-    std::vector<QuarantinedCell> quarantined;
-    for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        CellOutcome &out = outcomes[k];
-        GLLC_ASSERT_MSG(out.done, "sharded cell left unprocessed");
-        if (out.ok) {
-            cells.push_back(std::move(out.cell));
-        } else {
-            const std::size_t f = k / num_policies;
-            const std::size_t p = k % num_policies;
-            quarantined.push_back(
-                {CellKey{spec.frames[f].app,
-                         spec.frames[f].frameIndex,
-                         spec.policies[p]},
-                 out.error, out.attempts});
-        }
-    }
-
     RenderScale scale;
     scale.linear = spec.scaleLinear;
     scale.scatterPages = spec.scatterPages;
@@ -789,11 +695,9 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
         MutexLock lock(shared.mutex);
         *stats = shared.stats;
     }
-    return SweepResult::fromParts(
-        spec.policies, scale,
-        scaledLlcConfig(spec.llcBytes, scale.pixelScale()),
-        std::move(cells), std::move(quarantined), 0, wall,
-        shard_count);
+    return SweepResult(spec.policies, scale,
+                       scaledLlcConfig(spec.llcBytes, scale.pixelScale()),
+                       std::move(outcomes), wall, shard_count);
 }
 
 int
@@ -950,14 +854,10 @@ runSweepWorker(const std::string &trace_cache_dir)
                         {"policy", cell.key.policy},
                         {"trace", trace_id}});
         const std::string error = guardedCall([&] {
-            // Same injection sites, same keyed draws as the
-            // in-process engine; cell.delay is how tests make a
-            // worker hang past the cell timeout.
-            if (faultFires(FaultSite::CellDelay, fault_key))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(kInjectedDelayMs));
-            if (faultFires(FaultSite::CellThrow, fault_key))
-                throwInjectedFault(FaultSite::CellThrow);
+            // The in-process engine's draws (cell_attempts.hh);
+            // cell.delay is how tests make a worker overrun the cell
+            // timeout.
+            injectCellFaults(fault_key);
             if (!rendered || rendered->first != frame_idx.value()) {
                 // Dropped before rendering, so a render that throws
                 // cannot leave another frame's trace behind.

@@ -34,10 +34,10 @@
  *
  * Requests are strictly request/response, so when a worker dies the
  * unanswered request names the killer cell precisely.  The parent
- * respawns the worker and retries that cell with the job's retry
- * budget (spec.retries, spec.backoffMs — the same semantics the
- * in-process engine applies to throwing cells), then quarantines it
- * and moves on.  A clean job is therefore byte-identical to
+ * respawns the worker and retries that cell under the cell-attempt
+ * policy the in-process engine uses (analysis/cell_attempts.hh:
+ * spec.retries, spec.backoffMs, the same fault keys), then
+ * quarantines it and moves on.  A clean job is therefore byte-identical to
  * SweepConfig::fromSpec(spec).run() — fewer moving parts than it
  * sounds: both paths end in the same runTrace() on the same trace.
  *
@@ -72,7 +72,7 @@ struct ShardedRunStats
 {
     unsigned workersSpawned = 0;
     unsigned workerCrashes = 0;
-    /** Cells whose worker hung past cellTimeoutMs and was killed. */
+    /** Attempts whose worker overran cellTimeoutMs and was killed. */
     unsigned cellTimeouts = 0;
 };
 
@@ -107,18 +107,20 @@ struct ShardTelemetry
  * Execute @p spec with its cells sharded over @p workers worker
  * subprocesses (clamped to the frame count, minimum 1).  Execution
  * knobs inside the spec keep their engine meaning where they apply
- * (retries, backoffMs); threads/frameWindow are superseded by the
- * process-level sharding and checkpointing is the caller's concern,
- * not the workers'.  cellTimeoutMs is enforced HARD here, unlike
- * the in-process engine's warn-only watchdog: a worker that hangs
- * past the budget is SIGKILLed and the cell retried on a fresh
- * worker, then quarantined — safe because the fault boundary is a
- * disposable process with no shared state to corrupt (0 = no
- * timeout).  InvalidArgument when the spec does not
- * validate(); Io when workers cannot be spawned at all.  Individual
- * cell failures and crashes never fail the run — they quarantine,
- * exactly like the in-process engine.  Workers load and store frame
- * traces in @p trace_cache_dir ("" = render every frame).
+ * (retries, backoffMs, cellTimeoutMs); threads/frameWindow are
+ * superseded by the process-level sharding and checkpointing is the
+ * caller's concern, not the workers'.  Each request to a worker is
+ * one cell attempt (analysis/cell_attempts.hh).  A crash, a garbled
+ * reply, a failed cell and a failed spawn each fail the attempt.  So
+ * does an attempt that overruns cellTimeoutMs (0 = no timeout): its
+ * worker is SIGKILLed, counted in cellTimeouts, and the cell retried
+ * on a fresh worker — safe because the fault boundary is a
+ * disposable process with no shared state to corrupt.  Returns
+ * InvalidArgument when the spec does not validate(), otherwise a
+ * result: cells whose attempts all fail — even when no worker can be
+ * spawned at all — are quarantined, exactly like the in-process
+ * engine.  Workers load and store frame traces in
+ * @p trace_cache_dir ("" = render every frame).
  */
 [[nodiscard]] Result<SweepResult>
 runShardedSweep(const SweepJobSpec &spec, unsigned workers,

@@ -51,6 +51,7 @@
 #include "service/daemon.hh"
 #include "service/job_journal.hh"
 #include "service/protocol.hh"
+#include "service/worker.hh"
 #include "trace/trace_io.hh"
 #include "workload/app_profile.hh"
 
@@ -448,6 +449,52 @@ TEST_F(ServiceTest, WorkerCrashQuarantinesCellsNotTheDaemon)
     EXPECT_EQ(clean.value().header.quarantined, 0u);
 }
 
+TEST_F(ServiceTest, ShardedAndInProcessSweepsShareOneAttemptPolicy)
+{
+    // cell.throw at p=0.5 with no n= cap (caps count per process):
+    // each (cell, attempt) draw is keyed on the cell's coordinates,
+    // so both executors must fail, retry and quarantine exactly the
+    // same cells.  Seed 4 quarantines two of these 8 cells and lets
+    // two others recover on their retry.
+    SweepJobSpec spec = tinySpec();
+    spec.policies = {"DRRIP+UCD", "NRU", "GSPC", "DRRIP"};
+    spec.retries = 1;
+    spec.backoffMs = 0;
+    const char *faults = "cell.throw:p=0.5,seed=4";
+    ::setenv("GLLC_FAULT", faults, 1);  // the workers' injector
+    configureFaults(faults);            // this process's injector
+    Result<SweepResult> sharded = runShardedSweep(spec, 2, "");
+    const SweepResult local = SweepConfig::fromSpec(spec).run();
+    ::unsetenv("GLLC_FAULT");
+    configureFaults("");
+    ASSERT_TRUE(sharded.ok()) << sharded.error().toString();
+
+    const std::vector<QuarantinedCell> &lq = local.quarantined();
+    const std::vector<QuarantinedCell> &sq =
+        sharded.value().quarantined();
+    ASSERT_GE(lq.size(), 1u);
+    ASSERT_EQ(sq.size(), lq.size());
+    for (std::size_t i = 0; i < lq.size(); ++i) {
+        EXPECT_EQ(sq[i].key, lq[i].key);
+        EXPECT_EQ(sq[i].attempts, lq[i].attempts);
+        EXPECT_EQ(sq[i].error, lq[i].error);
+        EXPECT_NE(lq[i].error.find("cell.throw"), std::string::npos);
+    }
+
+    const std::vector<SweepCell> &lc = local.cells();
+    const std::vector<SweepCell> &sc = sharded.value().cells();
+    ASSERT_EQ(sc.size(), lc.size());
+    unsigned recovered = 0;
+    for (std::size_t i = 0; i < lc.size(); ++i) {
+        EXPECT_EQ(sc[i].key, lc[i].key);
+        EXPECT_EQ(sc[i].attempts, lc[i].attempts);
+        EXPECT_EQ(sc[i].result.stats.totalMisses(),
+                  lc[i].result.stats.totalMisses());
+        recovered += lc[i].attempts > 1 ? 1 : 0;
+    }
+    EXPECT_GE(recovered, 1u);
+}
+
 TEST_F(ServiceTest, StatusReportsCounters)
 {
     SweepDaemon &daemon = startDaemon(tempPath("status_store"));
@@ -455,12 +502,16 @@ TEST_F(ServiceTest, StatusReportsCounters)
     ASSERT_TRUE(client.submit(tinySpec()).ok());
     ASSERT_TRUE(client.submit(tinySpec()).ok());
 
-    Result<std::string> status = client.status();
+    Result<std::string> status = client.statusV2();
     ASSERT_TRUE(status.ok()) << status.error().toString();
-    EXPECT_NE(status.value().find("\"jobs_completed\":1"),
-              std::string::npos);
-    EXPECT_NE(status.value().find("\"cache_hits\":1"),
-              std::string::npos);
+    Result<JsonValue> doc = parseJson(status.value());
+    ASSERT_TRUE(doc.ok()) << doc.error().toString();
+    const JsonValue *jobs = doc.value().find("jobs");
+    ASSERT_NE(jobs, nullptr);
+    ASSERT_NE(jobs->find("completed"), nullptr);
+    ASSERT_NE(jobs->find("cache_hits"), nullptr);
+    EXPECT_EQ(jobs->find("completed")->number(), 1.0);
+    EXPECT_EQ(jobs->find("cache_hits")->number(), 1.0);
     EXPECT_EQ(daemon.jobsCompleted(), 1u);
     EXPECT_EQ(daemon.cacheHits(), 1u);
 }
@@ -496,12 +547,11 @@ TEST_F(ServiceTest, HostileBytesGetTypedErrorsAndServiceSurvives)
     EXPECT_EQ(error.code, ErrorCode::Corrupt);
 
     // The same connection still answers a valid status request.
-    ASSERT_TRUE(writeFrame(fd, statusEnvelopeJson()).ok());
+    ASSERT_TRUE(writeFrame(fd, statusV2EnvelopeJson()).ok());
     read = readFrame(fd, response);
     ASSERT_TRUE(read.ok()) << read.error().toString();
     ASSERT_TRUE(read.value());
-    EXPECT_NE(response.find("\"jobs_submitted\""),
-              std::string::npos);
+    EXPECT_NE(response.find("\"submitted\""), std::string::npos);
 
     // An envelope that is valid JSON but not a gllcd document.
     ASSERT_TRUE(writeFrame(fd, "{\"hello\":1}").ok());
@@ -517,7 +567,7 @@ TEST_F(ServiceTest, HostileBytesGetTypedErrorsAndServiceSurvives)
 
     // The daemon outlived all of it and serves a fresh client.
     ServiceClient client = connect();
-    EXPECT_TRUE(client.status().ok());
+    EXPECT_TRUE(client.statusV2().ok());
 }
 
 TEST_F(ServiceTest, StopUnderLoadReleasesQueuedClients)
@@ -1478,7 +1528,7 @@ TEST_F(ServiceTest, ConnectionCapShedsExtraConnections)
 
     // The first connection occupies the only slot...
     ServiceClient holder = connect();
-    ASSERT_TRUE(holder.status().ok());
+    ASSERT_TRUE(holder.statusV2().ok());
 
     // ...so the second is turned away with a typed conn_limit shed
     // before any request is read.
@@ -1672,10 +1722,13 @@ TEST_F(ServiceTest, StatusAnswersConcurrentlyWithRunningJobs)
     std::thread pest([&] {
         while (!submits_done.load()) {
             ServiceClient client = connect();
-            Result<std::string> status = client.status();
+            Result<std::string> status = client.statusV2();
             ASSERT_TRUE(status.ok()) << status.error().toString();
-            EXPECT_NE(status.value().find("\"queue_depth\":"),
-                      std::string::npos);
+            Result<JsonValue> doc = parseJson(status.value());
+            ASSERT_TRUE(doc.ok()) << doc.error().toString();
+            const JsonValue *queue = doc.value().find("queue");
+            ASSERT_NE(queue, nullptr);
+            EXPECT_NE(queue->find("depth"), nullptr);
             ++status_ok;
         }
     });

@@ -153,18 +153,20 @@ TEST(ServiceProtocol, SubmitEnvelopeRoundTrip)
     EXPECT_EQ(env.value().priority, -3);
 }
 
-TEST(ServiceProtocol, StatusEnvelopeRoundTrip)
+TEST(ServiceProtocol, V1StatusEnvelopeIsInvalidArgument)
 {
+    // The first status request is gone; status_v2 carries its
+    // fields.  Its envelope is an unknown type, answered typed.
     Result<RequestEnvelope> env =
-        parseRequestEnvelope(statusEnvelopeJson());
-    ASSERT_TRUE(env.ok()) << env.error().toString();
-    EXPECT_EQ(env.value().type, RequestType::Status);
+        parseRequestEnvelope("{\"gllcd\":1,\"type\":\"status\"}");
+    ASSERT_FALSE(env.ok());
+    EXPECT_EQ(env.error().code, ErrorCode::InvalidArgument);
 }
 
 TEST(ServiceProtocol, StatusV2EnvelopeRoundTrip)
 {
-    // StatusV2 is additive on the same protocol version: an old
-    // daemon rejects it as a bad request, nothing worse.
+    // StatusV2 shares the protocol version: a daemon that predates
+    // it rejects it as a bad request, nothing worse.
     Result<RequestEnvelope> env =
         parseRequestEnvelope(statusV2EnvelopeJson());
     ASSERT_TRUE(env.ok()) << env.error().toString();

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the sweep engine's fault tolerance: injected cell
- * failures, retry/backoff, quarantine reporting, and
- * checkpoint/resume byte-identity.
+ * Tests for the sweep engine's fault tolerance: the shared
+ * cell-attempt policy, injected cell failures, retry/backoff,
+ * quarantine reporting, and checkpoint/resume byte-identity.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/cell_attempts.hh"
 #include "analysis/checkpoint.hh"
 #include "analysis/report.hh"
 #include "analysis/sweep.hh"
@@ -75,6 +78,80 @@ tempJournal(const char *tag)
 }
 
 } // namespace
+
+/** runAttempts over an attempt function failing until @p good. */
+struct AttemptLog
+{
+    unsigned calls = 0;
+    std::vector<std::pair<unsigned, std::string>> retries;
+
+    AttemptsResult
+    run(unsigned max_attempts, unsigned good)
+    {
+        return runAttempts(
+            max_attempts, 0,
+            [&](unsigned attempt) {
+                ++calls;
+                return attempt >= good
+                    ? std::string()
+                    : "failure " + std::to_string(attempt);
+            },
+            [&](unsigned attempt, const std::string &error) {
+                retries.emplace_back(attempt, error);
+            });
+    }
+};
+
+TEST(CellAttempts, StopsAtTheFirstSuccess)
+{
+    AttemptLog log;
+    const AttemptsResult result = log.run(5, 3);
+    EXPECT_TRUE(result.ok());
+    EXPECT_EQ(result.attempts, 3u);
+    EXPECT_EQ(log.calls, 3u);
+}
+
+TEST(CellAttempts, OnRetryRunsOncePerReattempt)
+{
+    AttemptLog log;
+    const AttemptsResult result = log.run(5, 3);
+    ASSERT_EQ(log.retries.size(), result.attempts - 1);
+    EXPECT_EQ(log.retries[0],
+              std::make_pair(1u, std::string("failure 1")));
+    EXPECT_EQ(log.retries[1],
+              std::make_pair(2u, std::string("failure 2")));
+}
+
+TEST(CellAttempts, ExhaustionKeepsTheLastError)
+{
+    AttemptLog log;
+    const AttemptsResult result = log.run(3, 100);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.attempts, 3u);
+    EXPECT_EQ(result.error, "failure 3");
+    EXPECT_EQ(log.calls, 3u);
+    EXPECT_EQ(log.retries.size(), 2u);
+}
+
+TEST(CellAttempts, OneAttemptNeverRetries)
+{
+    AttemptLog log;
+    const AttemptsResult result = log.run(1, 100);
+    EXPECT_EQ(result.attempts, 1u);
+    EXPECT_EQ(result.error, "failure 1");
+    EXPECT_EQ(log.calls, 1u);
+    EXPECT_TRUE(log.retries.empty());
+}
+
+TEST(CellAttempts, GuardedCallNamesWhatWasThrown)
+{
+    EXPECT_EQ(guardedCall([] {}), "");
+    EXPECT_EQ(guardedCall([] { throw std::runtime_error("boom"); }),
+              "boom");
+    EXPECT_EQ(guardedCall([] { throw std::runtime_error(""); }),
+              "unnamed exception");
+    EXPECT_EQ(guardedCall([] { throw 42; }), "non-standard exception");
+}
 
 TEST_F(SweepFaultEnv, RetryRecoversAnInjectedThrow)
 {

@@ -205,6 +205,43 @@ class PolicyFinal:
                 "statically")
 
 
+# The cell fault sites, drawn only by the shared cell-attempt policy.
+CELL_FAULT_SITE = re.compile(r"\bFaultSite::Cell(?:Throw|Delay)\b")
+
+# analysis/cell_attempts.cc draws them; common/fault.cc is the site
+# registry that names every site.
+CELL_FAULT_SITE_ALLOWLIST = {
+    Path("src/analysis/cell_attempts.cc"),
+    Path("src/common/fault.cc"),
+}
+
+
+@register
+class CellFaultSite:
+    """Both sweep executors (the in-process engine and the gllcd
+    workers) must inject cell.throw and cell.delay with the same keyed
+    draws, or GLLC_FAULT fails different cells depending on where a
+    sweep runs.  So the draws live once, in injectCellFaults()
+    (analysis/cell_attempts.hh); a second copy is how the two drifted
+    apart before."""
+
+    name = "cell-fault-site"
+    description = ("cell.throw/cell.delay site outside "
+                   "analysis/cell_attempts.cc")
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src" or ctx.rel in CELL_FAULT_SITE_ALLOWLIST:
+            return
+        for lineno, line in enumerate(ctx.code_lines, start=1):
+            match = CELL_FAULT_SITE.search(line)
+            if match:
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    f"{match.group(0)} drawn outside the shared cell "
+                    "policy; call injectCellFaults() "
+                    "(analysis/cell_attempts.hh) instead")
+
+
 @register
 class RawGetenv:
     """Environment knobs flow through envInt()/envString() and are

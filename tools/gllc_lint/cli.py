@@ -1,11 +1,14 @@
 """gllc_lint command line.
 
-    python3 tools/lint.py                      # run every checker
-    python3 tools/lint.py --checkers a,b       # a subset
-    python3 tools/lint.py --json findings.json # machine-readable
-    python3 tools/lint.py --json -             # JSON to stdout
-    python3 tools/lint.py --list-checkers
-    python3 tools/lint.py --update-metrics-doc # rewrite docs/METRICS.md
+    python3 -m gllc_lint                      # run every checker
+    python3 -m gllc_lint --checkers a,b       # a subset
+    python3 -m gllc_lint --json findings.json # machine-readable
+    python3 -m gllc_lint --json -             # JSON to stdout
+    python3 -m gllc_lint --list-checkers
+    python3 -m gllc_lint --update-metrics-doc # rewrite docs/METRICS.md
+
+with tools/ on the module path (`PYTHONPATH=tools` from the repo
+root).  The repository root is found from this file's location.
 
 Exits 0 when clean, 1 with a file:line report otherwise.  A finding
 on a given line is suppressed by a comment on that line containing
@@ -26,7 +29,7 @@ JSON_SCHEMA = "gllc-lint-v1"
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="lint.py", description="gllc repo linter")
+        prog="gllc_lint", description="gllc repo linter")
     parser.add_argument(
         "--root", type=Path, default=None,
         help="repository root (default: two levels up from tools/)")

@@ -176,6 +176,30 @@ class TestConventions(LintFixture):
                    "class Pin : public ReplacementPolicy {};\n")
         self.assertEqual(self.run_checker("policy-final"), [])
 
+    def test_cell_fault_site_flags_second_copies(self):
+        self.write("src/service/worker.cc",
+                   "void f(std::uint64_t k) {\n"
+                   "    if (faultFires(FaultSite::CellDelay, k)) {}\n"
+                   "    throwInjectedFault(FaultSite::CellThrow); }\n")
+        findings = self.run_checker("cell-fault-site")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/service/worker.cc", 2),
+                          ("src/service/worker.cc", 3)])
+        self.assertIn("FaultSite::CellDelay", findings[0].message)
+
+    def test_cell_fault_site_allows_the_policy_and_registry(self):
+        draw = "void f() { faultFires(FaultSite::CellThrow, 1); }\n"
+        self.write("src/analysis/cell_attempts.cc", draw)
+        self.write("src/common/fault.cc",
+                   "case FaultSite::CellDelay: return \"cell.delay\";\n")
+        # Other sites, comments and code outside src/ pass.
+        self.write("src/service/daemon.cc",
+                   "void g() { faultFires(FaultSite::WorkerCrash);\n"
+                   "    // FaultSite::CellThrow in a comment\n"
+                   "    FaultSite::CellThrown; }\n")
+        self.write("tests/t.cc", draw)
+        self.assertEqual(self.run_checker("cell-fault-site"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",
@@ -316,15 +340,18 @@ class TestIncludeCycle(LintFixture):
 
 
 class TestCli(unittest.TestCase):
-    """End-to-end: the shim entry point against the real repo."""
+    """End-to-end: `python3 -m gllc_lint` against the real repo."""
 
-    ROOT = Path(__file__).resolve().parents[3]
+    TOOLS = Path(__file__).resolve().parents[2]
+
+    def lint(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "gllc_lint", *args],
+            cwd=self.TOOLS, capture_output=True, text=True,
+            check=False)
 
     def test_json_output_schema(self):
-        proc = subprocess.run(
-            [sys.executable,
-             str(self.ROOT / "tools" / "lint.py"), "--json", "-"],
-            capture_output=True, text=True, check=False)
+        proc = self.lint("--json", "-")
         document = json.loads(proc.stdout)
         self.assertEqual(document["schema"], "gllc-lint-v1")
         self.assertGreater(document["files_checked"], 0)
@@ -336,11 +363,7 @@ class TestCli(unittest.TestCase):
             self.assertIn("message", finding)
 
     def test_unknown_checker_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable,
-             str(self.ROOT / "tools" / "lint.py"),
-             "--checkers", "no-such"],
-            capture_output=True, text=True, check=False)
+        proc = self.lint("--checkers", "no-such")
         self.assertEqual(proc.returncode, 2)
 
 

@@ -9,6 +9,8 @@
  *               [--retries N] [--backoff-ms N]
  *   gllc-submit (--socket PATH | --port N) --status
  *
+ * --status prints the daemon's status_v2 document (protocol.hh).
+ *
  * The job is built exactly the way the bench harnesses build
  * sweeps: frames and scale come from the environment (GLLC_FRAMES,
  * GLLC_SCALE), then SweepConfig::resolve() pins every default into
@@ -173,7 +175,7 @@ main(int argc, char **argv)
         if (!client.ok())
             fatal("%s", client.error().toString().c_str());
         ServiceClient conn = client.take();
-        Result<std::string> doc = conn.status();
+        Result<std::string> doc = conn.statusV2();
         if (!doc.ok())
             fatal("%s", doc.error().toString().c_str());
         std::cout << doc.value() << "\n";
