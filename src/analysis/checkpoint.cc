@@ -9,6 +9,7 @@
 
 #include "analysis/sweep.hh"
 #include "common/hash.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace gllc
@@ -16,20 +17,6 @@ namespace gllc
 
 namespace
 {
-
-/** Escape the two characters our JSON strings need escaped. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 void
 appendU64(std::string &out, std::uint64_t v)
@@ -207,26 +194,7 @@ struct Cursor
     bool
     str(std::string &out)
     {
-        if (!lit("\""))
-            return false;
-        out.clear();
-        while (i < s.size()) {
-            const char c = s[i];
-            if (c == '"') {
-                ++i;
-                return true;
-            }
-            if (c == '\\') {
-                if (i + 1 >= s.size())
-                    return false;
-                out.push_back(s[i + 1]);
-                i += 2;
-                continue;
-            }
-            out.push_back(c);
-            ++i;
-        }
-        return false;
+        return lit("\"") && decodeJsonString(s, i, out) == nullptr;
     }
 
     template <typename Array>
@@ -349,14 +317,6 @@ parseCheckpointCellLine(std::string line, SweepCell &cell)
             return false;
     }
     return c.lit("]") && c.i == line.size();
-}
-
-bool
-CheckpointMeta::operator==(const CheckpointMeta &other) const
-{
-    return scaleLinear == other.scaleLinear
-        && llcBytes == other.llcBytes && llcWays == other.llcWays
-        && llcBanks == other.llcBanks && policies == other.policies;
 }
 
 Result<CheckpointContents>

@@ -67,11 +67,7 @@ struct CheckpointMeta
     std::uint32_t llcBanks = 0;
     std::vector<std::string> policies;
 
-    bool operator==(const CheckpointMeta &other) const;
-    bool operator!=(const CheckpointMeta &other) const
-    {
-        return !(*this == other);
-    }
+    bool operator==(const CheckpointMeta &other) const = default;
 };
 
 /** Everything a journal held that survived validation. */

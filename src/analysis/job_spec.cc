@@ -1,9 +1,9 @@
 #include "analysis/job_spec.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 
-#include "analysis/offline_sim.hh"
 #include "analysis/policy_table.hh"
 #include "cache/geometry.hh"
 #include "common/hash.hh"
@@ -41,22 +41,6 @@ asU32(const JsonValue &value, const char *key)
 }
 
 } // namespace
-
-bool
-SweepJobSpec::operator==(const SweepJobSpec &other) const
-{
-    return policies == other.policies && frames == other.frames
-        && scaleLinear == other.scaleLinear
-        && scatterPages == other.scatterPages
-        && llcBytes == other.llcBytes
-        && collectDramTrace == other.collectDramTrace
-        && threads == other.threads
-        && frameWindow == other.frameWindow
-        && progress == other.progress && retries == other.retries
-        && backoffMs == other.backoffMs
-        && cellTimeoutMs == other.cellTimeoutMs
-        && checkpoint == other.checkpoint && resume == other.resume;
-}
 
 std::string
 SweepJobSpec::identityJson() const
@@ -122,6 +106,67 @@ SweepJobSpec::traceHash() const
     return traceSetHash(frames, scaleLinear, scatterPages);
 }
 
+RenderScale
+SweepJobSpec::renderScale() const
+{
+    RenderScale scale;
+    scale.linear = scaleLinear;
+    scale.scatterPages = scatterPages;
+    return scale;
+}
+
+LlcConfig
+SweepJobSpec::llcConfig() const
+{
+    return scaledLlcConfig(llcBytes, renderScale().pixelScale());
+}
+
+Result<std::vector<PolicySpec>>
+SweepJobSpec::policySpecs() const
+{
+    std::vector<PolicySpec> specs;
+    specs.reserve(policies.size());
+    for (const std::string &name : policies) {
+        Result<PolicySpec> spec = tryPolicySpec(name);
+        if (!spec.ok())
+            return spec.error();
+        specs.push_back(spec.take());
+    }
+    return specs;
+}
+
+Result<std::vector<FrameSpec>>
+SweepJobSpec::frameSpecs() const
+{
+    const std::vector<AppProfile> &apps = paperApps();
+    std::vector<FrameSpec> specs;
+    specs.reserve(frames.size());
+    for (const SweepJobFrame &frame : frames) {
+        const auto app = std::find_if(
+            apps.begin(), apps.end(),
+            [&](const AppProfile &a) { return a.name == frame.app; });
+        if (app == apps.end())
+            return Error::format(ErrorCode::InvalidArgument,
+                                 "unknown application \"%s\"",
+                                 frame.app.c_str());
+        specs.push_back({&*app, frame.frameIndex});
+    }
+    return specs;
+}
+
+CheckpointMeta
+SweepJobSpec::checkpointMeta() const
+{
+    const LlcConfig llc = llcConfig();
+    CheckpointMeta meta;
+    meta.scaleLinear = scaleLinear;
+    meta.llcBytes = llc.capacityBytes;
+    meta.llcWays = llc.ways;
+    meta.llcBanks = llc.banks;
+    meta.policies = policies;
+    return meta;
+}
+
 Result<Unit>
 SweepJobSpec::validate() const
 {
@@ -142,8 +187,7 @@ SweepJobSpec::validate() const
         return Error(ErrorCode::InvalidArgument,
                      "job spec llc_bytes must be > 0");
     // Reject here what the worker's CacheGeometry would assert on.
-    const LlcConfig llc =
-        scaledLlcConfig(llcBytes, scaleLinear * scaleLinear);
+    const LlcConfig llc = llcConfig();
     Result<Unit> geometry =
         checkGeometry(llc.capacityBytes, llc.ways, llc.banks);
     if (!geometry.ok())
@@ -152,20 +196,10 @@ SweepJobSpec::validate() const
                              static_cast<unsigned long long>(llcBytes),
                              scaleLinear,
                              geometry.error().context.c_str());
-    for (const std::string &name : policies) {
-        Result<PolicySpec> spec = tryPolicySpec(name);
-        if (!spec.ok())
-            return spec.error();
-    }
-    std::set<std::string> known;
-    for (const AppProfile &app : paperApps())
-        known.insert(app.name);
-    for (const SweepJobFrame &frame : frames) {
-        if (known.count(frame.app) == 0)
-            return Error::format(ErrorCode::InvalidArgument,
-                                 "unknown application \"%s\"",
-                                 frame.app.c_str());
-    }
+    if (Result<std::vector<PolicySpec>> specs = policySpecs(); !specs.ok())
+        return specs.error();
+    if (Result<std::vector<FrameSpec>> specs = frameSpecs(); !specs.ok())
+        return specs.error();
     return Unit{};
 }
 

@@ -21,10 +21,14 @@
  *    frame traces.  (trace hash, content hash) is the key of the
  *    service's content-addressed result store.
  *
- * SweepConfig::resolve() produces a fully-defaulted spec (every
- * environment fallback applied); SweepConfig::fromSpec() rebuilds a
- * runnable config, so `fromSpec(cfg.resolve()).run()` is
- * bit-identical to `cfg.run()`.  Serializable jobs are limited to
+ * A SweepConfig builder holds its sweep as one SweepJobSpec:
+ * SweepConfig::resolve() returns it, SweepConfig::fromSpec() wraps a
+ * copy, so `fromSpec(cfg.resolve()).run()` is bit-identical to
+ * `cfg.run()`.  The helpers below (renderScale(), llcConfig(),
+ * policySpecs(), frameSpecs(), checkpointMeta()) are the one
+ * translation from a spec to the runtime objects a sweep replays
+ * with; the in-process engine, the gllcd shard runner and its
+ * workers all go through them.  Serializable jobs are limited to
  * registry policies (policySpec() names); in-process sweeps with
  * custom policy factories still run, they just cannot be shipped to
  * the service.
@@ -37,7 +41,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/checkpoint.hh"
+#include "analysis/offline_sim.hh"
 #include "common/result.hh"
+#include "workload/frame_set.hh"
 #include "workload/trace_identity.hh"
 
 namespace gllc
@@ -70,13 +77,17 @@ struct SweepJobSpec
     std::uint64_t llcBytes = 8ull << 20;
 
     // --- execution knobs: change how, never what, is computed ---
+    //
+    // These initializers are the only defaults; a SweepConfig starts
+    // from them and overrides each one whose GLLC_* knob is set
+    // (analysis/sweep.hh).
 
     bool collectDramTrace = false;
-    std::uint32_t threads = 1;      ///< resolved, >= 1
+    std::uint32_t threads = 1;      ///< >= 1 (0 runs as 1)
     std::uint32_t frameWindow = 0;  ///< 0 = 2x threads (1 at 1 thread)
     bool progress = false;
-    std::uint32_t retries = 2;
-    std::uint32_t backoffMs = 25;
+    std::uint32_t retries = 2;      ///< re-attempts after a failure
+    std::uint32_t backoffMs = 25;   ///< first retry delay, doubled
     /**
      * Wall-time budget of one cell attempt, 0 = none.  An overrun is
      * counted and warned about; the gllcd shard runner also SIGKILLs
@@ -85,13 +96,26 @@ struct SweepJobSpec
      */
     std::uint32_t cellTimeoutMs = 0;
     std::string checkpoint;         ///< journal path; "" = off
-    bool resume = false;
+    bool resume = false;            ///< restore cells from checkpoint
 
-    bool operator==(const SweepJobSpec &other) const;
-    bool operator!=(const SweepJobSpec &other) const
-    {
-        return !(*this == other);
-    }
+    bool operator==(const SweepJobSpec &other) const = default;
+
+    // --- the runtime objects a spec describes ---
+
+    /** The render scale of the frame traces. */
+    RenderScale renderScale() const;
+
+    /** The LLC replayed against: llcBytes scaled to the render scale. */
+    LlcConfig llcConfig() const;
+
+    /** Registry specs of the policies, in order (InvalidArgument). */
+    [[nodiscard]] Result<std::vector<PolicySpec>> policySpecs() const;
+
+    /** The frames against the Table 1 profiles (InvalidArgument). */
+    [[nodiscard]] Result<std::vector<FrameSpec>> frameSpecs() const;
+
+    /** The header of this sweep's checkpoint journal. */
+    CheckpointMeta checkpointMeta() const;
 
     /** Canonical JSON of the whole spec (fixed field order). */
     std::string toJson() const;

@@ -27,6 +27,13 @@ namespace gllc
 namespace
 {
 
+/** A count knob's value; a negative setting reads as 0. */
+std::uint32_t
+knobCount(std::int64_t v)
+{
+    return v > 0 ? static_cast<std::uint32_t>(v) : 0;
+}
+
 /** Render one frame trace, with an optional timeline span. */
 FrameTrace
 renderFrame(const FrameSpec &frame, const RenderScale &scale)
@@ -202,113 +209,142 @@ sweepThreads(unsigned requested)
 // ---------------------------------------------------------------
 
 SweepConfig::SweepConfig()
-    : scale_(scaleFromEnv()),
-      frames_(frameSetFromEnv()),
-      llcConfig_(scaledLlcConfig(8ull << 20, scale_.pixelScale())),
-      fullLlcBytes_(8ull << 20)
 {
+    // Read the environment once: each knob left unset keeps the
+    // SweepJobSpec default.
+    scale(scaleFromEnv());
+    frames(frameSetFromEnv());
+    spec_.threads = sweepThreads(0);
+    spec_.frameWindow =
+        knobCount(envInt("GLLC_FRAME_WINDOW", spec_.frameWindow));
+    spec_.progress = progressEnabled(-1);
+    spec_.retries = knobCount(envInt("GLLC_CELL_RETRIES", spec_.retries));
+    spec_.backoffMs =
+        knobCount(envInt("GLLC_CELL_BACKOFF_MS", spec_.backoffMs));
+    spec_.cellTimeoutMs =
+        knobCount(envInt("GLLC_CELL_TIMEOUT_MS", spec_.cellTimeoutMs));
+    spec_.checkpoint = envString("GLLC_CHECKPOINT", spec_.checkpoint);
+    spec_.resume = envInt("GLLC_RESUME", spec_.resume) != 0;
+}
+
+SweepConfig::SweepConfig(SweepJobSpec spec)
+    : spec_(std::move(spec)),
+      policies_(spec_.policySpecs().takeOrFatal())
+{
+}
+
+SweepConfig
+SweepConfig::fromSpec(const SweepJobSpec &spec)
+{
+    return SweepConfig(spec);
 }
 
 SweepConfig &
 SweepConfig::policies(std::vector<std::string> names)
 {
-    specs_.clear();
-    specs_.reserve(names.size());
+    policies_.clear();
+    policies_.reserve(names.size());
     for (const std::string &name : names)
-        specs_.push_back(policySpec(name));
+        policies_.push_back(policySpec(name));
+    spec_.policies = std::move(names);
     return *this;
 }
 
 SweepConfig &
 SweepConfig::policySpecs(std::vector<PolicySpec> specs)
 {
-    specs_ = std::move(specs);
+    policies_ = std::move(specs);
+    spec_.policies.clear();
+    for (const PolicySpec &spec : policies_)
+        spec_.policies.push_back(spec.name);
     return *this;
 }
 
 SweepConfig &
 SweepConfig::llcBytes(std::uint64_t full_llc_bytes)
 {
-    fullLlcBytes_ = full_llc_bytes;
-    llcConfig_ = scaledLlcConfig(fullLlcBytes_, scale_.pixelScale());
+    spec_.llcBytes = full_llc_bytes;
     return *this;
 }
 
 SweepConfig &
-SweepConfig::frames(std::vector<FrameSpec> frames)
+SweepConfig::frames(const std::vector<FrameSpec> &frames)
 {
-    frames_ = std::move(frames);
+    spec_.frames.clear();
+    spec_.frames.reserve(frames.size());
+    for (const FrameSpec &frame : frames)
+        spec_.frames.push_back({frame.app->name, frame.frameIndex});
     return *this;
 }
 
 SweepConfig &
 SweepConfig::scale(const RenderScale &scale)
 {
-    scale_ = scale;
-    llcConfig_ = scaledLlcConfig(fullLlcBytes_, scale_.pixelScale());
+    spec_.scaleLinear = scale.linear;
+    spec_.scatterPages = scale.scatterPages;
     return *this;
 }
 
 SweepConfig &
 SweepConfig::collectDramTrace(bool collect)
 {
-    collectDram_ = collect;
+    spec_.collectDramTrace = collect;
     return *this;
 }
 
 SweepConfig &
 SweepConfig::threads(unsigned count)
 {
-    threads_ = count;
+    spec_.threads = sweepThreads(count);
     return *this;
 }
 
 SweepConfig &
 SweepConfig::frameWindow(unsigned frames)
 {
-    frameWindow_ = frames;
+    spec_.frameWindow = frames;
     return *this;
 }
 
 SweepConfig &
 SweepConfig::progress(bool enabled)
 {
-    progress_ = enabled ? 1 : 0;
+    spec_.progress = enabled;
     return *this;
 }
 
 SweepConfig &
-SweepConfig::retries(int count)
+SweepConfig::retries(unsigned count)
 {
-    retries_ = count;
+    spec_.retries = count;
     return *this;
 }
 
 SweepConfig &
-SweepConfig::backoffMs(int ms)
+SweepConfig::backoffMs(unsigned ms)
 {
-    backoffMs_ = ms;
+    spec_.backoffMs = ms;
     return *this;
 }
 
 SweepConfig &
-SweepConfig::cellTimeoutMs(int ms)
+SweepConfig::cellTimeoutMs(unsigned ms)
 {
-    cellTimeoutMs_ = ms;
+    spec_.cellTimeoutMs = ms;
     return *this;
 }
 
 SweepConfig &
 SweepConfig::checkpoint(std::string path)
 {
-    checkpoint_ = std::move(path);
+    spec_.checkpoint = std::move(path);
     return *this;
 }
 
 SweepConfig &
 SweepConfig::resume(bool enabled)
 {
-    resume_ = enabled ? 1 : 0;
+    spec_.resume = enabled;
     return *this;
 }
 
@@ -328,137 +364,31 @@ SweepConfig::cliArgs(int argc, char **argv)
     return *this;
 }
 
-std::vector<std::string>
-SweepConfig::policyNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(specs_.size());
-    for (const PolicySpec &spec : specs_)
-        names.push_back(spec.name);
-    return names;
-}
-
-SweepJobSpec
-SweepConfig::resolve() const
-{
-    SweepJobSpec spec;
-    spec.policies = policyNames();
-    spec.frames.reserve(frames_.size());
-    for (const FrameSpec &frame : frames_)
-        spec.frames.push_back(
-            {frame.app->name, frame.frameIndex});
-    spec.scaleLinear = scale_.linear;
-    spec.scatterPages = scale_.scatterPages;
-    spec.llcBytes = fullLlcBytes_;
-
-    spec.collectDramTrace = collectDram_;
-    spec.threads = sweepThreads(threads_);
-    if (frameWindow_ > 0) {
-        spec.frameWindow = frameWindow_;
-    } else {
-        const std::int64_t env = envInt("GLLC_FRAME_WINDOW", 0);
-        // 0 stays 0: "2x threads", applied by run() once the
-        // frame count is known.
-        spec.frameWindow =
-            env > 0 ? static_cast<std::uint32_t>(env) : 0;
-    }
-    spec.progress = progressEnabled(progress_);
-    if (retries_ >= 0) {
-        spec.retries = static_cast<unsigned>(retries_);
-    } else {
-        const std::int64_t env = envInt("GLLC_CELL_RETRIES", 2);
-        spec.retries = env >= 0 ? static_cast<unsigned>(env) : 0;
-    }
-    if (backoffMs_ >= 0) {
-        spec.backoffMs = static_cast<unsigned>(backoffMs_);
-    } else {
-        const std::int64_t env = envInt("GLLC_CELL_BACKOFF_MS", 25);
-        spec.backoffMs = env >= 0 ? static_cast<unsigned>(env) : 0;
-    }
-    if (cellTimeoutMs_ >= 0) {
-        spec.cellTimeoutMs = static_cast<unsigned>(cellTimeoutMs_);
-    } else {
-        const std::int64_t env = envInt("GLLC_CELL_TIMEOUT_MS", 0);
-        spec.cellTimeoutMs =
-            env > 0 ? static_cast<unsigned>(env) : 0;
-    }
-    spec.checkpoint = !checkpoint_.empty()
-                          ? checkpoint_
-                          : envString("GLLC_CHECKPOINT", "");
-    spec.resume = resume_ >= 0 ? resume_ != 0
-                               : envInt("GLLC_RESUME", 0) != 0;
-    return spec;
-}
-
-SweepConfig
-SweepConfig::fromSpec(const SweepJobSpec &spec)
-{
-    SweepConfig cfg;
-    cfg.policies(spec.policies);
-
-    std::vector<FrameSpec> frames;
-    frames.reserve(spec.frames.size());
-    for (const SweepJobFrame &frame : spec.frames) {
-        const AppProfile *app = nullptr;
-        for (const AppProfile &candidate : paperApps()) {
-            if (candidate.name == frame.app) {
-                app = &candidate;
-                break;
-            }
-        }
-        if (app == nullptr)
-            fatal("job spec names unknown application \"%s\"",
-                  frame.app.c_str());
-        frames.push_back({app, frame.frameIndex});
-    }
-    cfg.frames(std::move(frames));
-
-    RenderScale scale;
-    scale.linear = spec.scaleLinear;
-    scale.scatterPages = spec.scatterPages;
-    cfg.scale(scale);
-    cfg.llcBytes(spec.llcBytes);
-
-    cfg.collectDramTrace(spec.collectDramTrace);
-    cfg.threads(spec.threads > 0 ? spec.threads : 1);
-    cfg.frameWindow(spec.frameWindow);
-    cfg.progress(spec.progress);
-    cfg.retries(static_cast<int>(spec.retries));
-    cfg.backoffMs(static_cast<int>(spec.backoffMs));
-    cfg.cellTimeoutMs(static_cast<int>(spec.cellTimeoutMs));
-    cfg.checkpoint(spec.checkpoint);
-    cfg.resume(spec.resume);
-    return cfg;
-}
-
 SweepResult
 SweepConfig::run(const CellObserver &observer) const
 {
-    GLLC_ASSERT(!specs_.empty());
+    GLLC_ASSERT(!policies_.empty());
 
-    // One resolution point: every knob below comes from the spec,
-    // never from a second look at the environment.
-    const SweepJobSpec job = resolve();
+    // Every knob below comes from the spec; the runtime objects are
+    // derived from it once, by its own helpers.
+    const SweepJobSpec &job = spec_;
+    const std::vector<FrameSpec> frames = job.frameSpecs().takeOrFatal();
+    const RenderScale scale = job.renderScale();
+    const LlcConfig llc = job.llcConfig();
 
-    const std::size_t num_policies = specs_.size();
-    const std::size_t num_frames = frames_.size();
+    const std::size_t num_policies = policies_.size();
+    const std::size_t num_frames = frames.size();
     const std::size_t num_cells = num_frames * num_policies;
-    const unsigned nthreads = job.threads;
+    const unsigned nthreads = std::max(job.threads, 1u);
     const std::string &checkpoint_path = job.checkpoint;
     const bool resuming = job.resume && !checkpoint_path.empty();
-    std::vector<std::string> policy_names = policyNames();
 
     // Working state, one slot per (frame, policy) cell; SweepResult
     // compacts the slots at the end.
     using State = CellOutcome::State;
     std::vector<CellOutcome> outcomes(num_cells);
 
-    CheckpointMeta meta;
-    meta.scaleLinear = scale_.linear;
-    meta.llcBytes = llcConfig_.capacityBytes;
-    meta.llcWays = llcConfig_.ways;
-    meta.llcBanks = llcConfig_.banks;
-    meta.policies = policy_names;
+    const CheckpointMeta meta = job.checkpointMeta();
 
     bool journal_append = false;
     if (resuming) {
@@ -488,9 +418,9 @@ SweepConfig::run(const CellObserver &observer) const
             for (std::size_t f = 0; f < num_frames; ++f) {
                 for (std::size_t p = 0; p < num_policies; ++p) {
                     const auto it = contents.cells.find(
-                        CellKey{frames_[f].app->name,
-                                frames_[f].frameIndex,
-                                specs_[p].name});
+                        CellKey{frames[f].app->name,
+                                frames[f].frameIndex,
+                                policies_[p].name});
                     if (it == contents.cells.end())
                         continue;
                     CellOutcome &out = outcomes[f * num_policies + p];
@@ -499,7 +429,7 @@ SweepConfig::run(const CellObserver &observer) const
                 }
             }
         }
-        if (observer && collectDram_)
+        if (observer && job.collectDramTrace)
             warn("resuming a DRAM-trace sweep: restored cells do "
                  "not re-fire the observer");
     }
@@ -517,7 +447,7 @@ SweepConfig::run(const CellObserver &observer) const
         window = nthreads == 1 ? 1 : 2 * static_cast<std::size_t>(nthreads);
     // Each in-flight cell of a DRAM-trace run retains a bulky
     // trace until observed, so keep fewer frames open.
-    if (collectDram_)
+    if (job.collectDramTrace)
         window = std::min<std::size_t>(window, nthreads);
     window = std::max<std::size_t>(1,
                                    std::min(window, num_frames));
@@ -527,35 +457,35 @@ SweepConfig::run(const CellObserver &observer) const
 
     CellWatchdog watchdog(
         job.cellTimeoutMs, num_cells,
-        [this, num_policies](std::size_t k) {
-            const FrameSpec &frame = frames_[k / num_policies];
+        [this, &frames, num_policies](std::size_t k) {
+            const FrameSpec &frame = frames[k / num_policies];
             return frame.app->name + " frame "
                 + std::to_string(frame.frameIndex) + " "
-                + specs_[k % num_policies].name;
+                + policies_[k % num_policies].name;
         });
 
     // Replay one cell.  Everything it touches is private to the
     // call (the trace is shared immutable), so cells run on any
     // thread with bit-identical results.
-    const auto replay_cell = [this](SweepCell &cell,
-                                    const FrameTrace &trace,
-                                    const PolicySpec &spec) {
+    const auto replay_cell = [&job, &llc](SweepCell &cell,
+                                          const FrameTrace &trace,
+                                          const PolicySpec &spec) {
         TraceSpan span(
             "cell", cell.key.toString(),
             {{"app", cell.key.app},
              {"frame", std::to_string(cell.key.frameIndex)},
              {"policy", cell.key.policy}});
         RunOptions options;
-        options.collectDramTrace = collectDram_;
+        options.collectDramTrace = job.collectDramTrace;
         if (auditActive()) {
             // Name the cell in any audit report, so a violation in a
             // concurrent sweep aborts with its exact coordinates.
             AuditScope scope;
             auditContext().app = cell.key.app;
             auditContext().frame = cell.key.frameIndex;
-            cell.result = runTrace(trace, spec, llcConfig_, options);
+            cell.result = runTrace(trace, spec, llc, options);
         } else {
-            cell.result = runTrace(trace, spec, llcConfig_, options);
+            cell.result = runTrace(trace, spec, llc, options);
         }
     };
 
@@ -580,7 +510,7 @@ SweepConfig::run(const CellObserver &observer) const
     const auto attempt_cell = [&](std::size_t k,
                                   const FrameSpec &frame,
                                   const FrameTrace &trace) {
-        const PolicySpec &spec = specs_[k % num_policies];
+        const PolicySpec &spec = policies_[k % num_policies];
         CellOutcome &out = outcomes[k];
         out.cell.key = {frame.app->name, frame.frameIndex, spec.name};
         const AttemptsResult run = runAttempts(
@@ -618,7 +548,7 @@ SweepConfig::run(const CellObserver &observer) const
             max_attempts, job.backoffMs,
             [&](unsigned) {
                 return guardedCall(
-                    [&] { out.trace = renderFrame(frame, scale_); });
+                    [&] { out.trace = renderFrame(frame, scale); });
             },
             count_retry);
         if (!out.render.ok())
@@ -633,7 +563,7 @@ SweepConfig::run(const CellObserver &observer) const
                                         const AttemptsResult &render) {
         CellOutcome &out = outcomes[k];
         out.cell.key = {frame.app->name, frame.frameIndex,
-                        specs_[k % num_policies].name};
+                        policies_[k % num_policies].name};
         out.cell.attempts = render.attempts;
         quarantine(out, "frame render failed: " + render.error);
     };
@@ -707,7 +637,7 @@ SweepConfig::run(const CellObserver &observer) const
             TraceSpan phase("phase", "render " + window_tag);
             fan_out(block, [&](std::size_t i) {
                 if (frame_pending(base + i))
-                    rendered[i] = render_checked(frames_[base + i]);
+                    rendered[i] = render_checked(frames[base + i]);
             });
         }
 
@@ -722,9 +652,9 @@ SweepConfig::run(const CellObserver &observer) const
                 if (outcomes[k].state != State::Pending)
                     return;
                 if (rendered[f].render.ok())
-                    attempt_cell(k, frames_[base + f], rendered[f].trace);
+                    attempt_cell(k, frames[base + f], rendered[f].trace);
                 else
-                    mark_render_failed(k, frames_[base + f],
+                    mark_render_failed(k, frames[base + f],
                                        rendered[f].render);
             });
         }
@@ -742,8 +672,8 @@ SweepConfig::run(const CellObserver &observer) const
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    return SweepResult(std::move(policy_names), scale_, llcConfig_,
-                       std::move(outcomes), wall, nthreads);
+    return SweepResult(job.policies, scale, llc, std::move(outcomes),
+                       wall, nthreads);
 }
 
 // ---------------------------------------------------------------

@@ -36,7 +36,9 @@
  * journal does not retain bulky DRAM traces), so observer-driven
  * timing runs should resume with that in mind.
  *
- * Knobs (environment, overridable per SweepConfig):
+ * Knobs (environment, read once when a SweepConfig is constructed;
+ * each is overridable per SweepConfig, and an unset knob keeps the
+ * SweepJobSpec default):
  *   GLLC_THREADS         worker count (default: hardware
  *                        concurrency)
  *   GLLC_FRAME_WINDOW    frames whose traces may be cached in
@@ -209,10 +211,12 @@ class SweepResult
 /**
  * Builder describing a frames x policies sweep.
  *
- * Defaults come from the environment (GLLC_SCALE, GLLC_FRAMES,
- * GLLC_THREADS, GLLC_FRAME_WINDOW, GLLC_CELL_RETRIES,
+ * The sweep is one SweepJobSpec.  The constructor fills it from the
+ * environment (GLLC_SCALE, GLLC_FRAMES, GLLC_THREADS,
+ * GLLC_FRAME_WINDOW, GLLC_PROGRESS, GLLC_CELL_RETRIES,
  * GLLC_CELL_BACKOFF_MS, GLLC_CELL_TIMEOUT_MS, GLLC_CHECKPOINT,
- * GLLC_RESUME); every knob can be overridden:
+ * GLLC_RESUME); each setter assigns one field of the spec, and
+ * run(), resolve() and fromSpec() never read the environment:
  *
  *   SweepResult r = SweepConfig()
  *                       .policies({"DRRIP", "GSPC"})
@@ -234,10 +238,10 @@ class SweepConfig
     /** Unscaled LLC capacity (8 MB baseline by default). */
     SweepConfig &llcBytes(std::uint64_t full_llc_bytes);
 
-    /** Frame subset (default: frameSetFromEnv()). */
-    SweepConfig &frames(std::vector<FrameSpec> frames);
+    /** Frame subset of Table 1 applications (default: GLLC_FRAMES). */
+    SweepConfig &frames(const std::vector<FrameSpec> &frames);
 
-    /** Render scale override (default: scaleFromEnv()). */
+    /** Render scale override (default: GLLC_SCALE). */
     SweepConfig &scale(const RenderScale &scale);
 
     /** Collect the DRAM trace of every replay (timing benches). */
@@ -247,32 +251,31 @@ class SweepConfig
     SweepConfig &threads(unsigned count);
 
     /**
-     * Max frames whose traces are held in memory at once; 0 =
-     * GLLC_FRAME_WINDOW / 2x threads (one frame at one thread: one
-     * trace alive, observer rows frame by frame).  DRAM-trace
-     * collection
-     * narrows the effective window to the thread count, because
-     * each in-flight cell then retains a bulky trace.
+     * Max frames whose traces are held in memory at once; 0 = 2x
+     * threads (one frame at one thread: one trace alive, observer
+     * rows frame by frame).  DRAM-trace collection narrows the
+     * effective window to the thread count, because each in-flight
+     * cell then retains a bulky trace.
      */
     SweepConfig &frameWindow(unsigned frames);
 
     /** Force progress reporting on or off (default: tty autodetect). */
     SweepConfig &progress(bool enabled);
 
-    /** Retry budget after a cell's first failure; -1 = env default. */
-    SweepConfig &retries(int count);
+    /** Retry budget after a cell's first failure. */
+    SweepConfig &retries(unsigned count);
 
-    /** First retry delay in ms (doubled per attempt); -1 = env. */
-    SweepConfig &backoffMs(int ms);
+    /** First retry delay in ms (doubled per attempt). */
+    SweepConfig &backoffMs(unsigned ms);
 
     /**
-     * Wall-time budget of one cell attempt in ms (0 off, -1 = env):
-     * an overrun is warned about and counted (sweep.cell_timeouts),
-     * then left to finish — a replay stopped midway would be corrupt.
+     * Wall-time budget of one cell attempt in ms (0 off): an overrun
+     * is warned about and counted (sweep.cell_timeouts), then left
+     * to finish — a replay stopped midway would be corrupt.
      */
-    SweepConfig &cellTimeoutMs(int ms);
+    SweepConfig &cellTimeoutMs(unsigned ms);
 
-    /** Checkpoint journal path ("" = GLLC_CHECKPOINT / none). */
+    /** Checkpoint journal path ("" = no journal). */
     SweepConfig &checkpoint(std::string path);
 
     /** Restore completed cells from the checkpoint journal. */
@@ -298,45 +301,37 @@ class SweepConfig
     SweepResult run(const CellObserver &observer = nullptr) const;
 
     /** The LLC configuration the sweep will replay against. */
-    const LlcConfig &llcConfig() const { return llcConfig_; }
-    const RenderScale &scale() const { return scale_; }
-    const std::vector<FrameSpec> &frames() const { return frames_; }
+    LlcConfig llcConfig() const { return spec_.llcConfig(); }
+    RenderScale scale() const { return spec_.renderScale(); }
 
     /** Policy display names in configured order. */
-    std::vector<std::string> policyNames() const;
+    std::vector<std::string> policyNames() const { return spec_.policies; }
 
     /**
-     * Resolve the config into a fully-defaulted SweepJobSpec: every
-     * environment fallback applied, every knob explicit.  This is
-     * the one place builder state meets the environment — run()
-     * consumes the resolved spec, and fromSpec(resolve()).run() is
-     * bit-identical to run().
+     * The sweep as a fully-defaulted SweepJobSpec: every knob
+     * explicit, so fromSpec(resolve()).run() is bit-identical to
+     * run().
      */
-    SweepJobSpec resolve() const;
+    SweepJobSpec resolve() const { return spec_; }
 
     /**
-     * Rebuild a runnable config from a spec.  Every knob is set
-     * explicitly, so the environment is not consulted again.
-     * Unknown policy or application names are fatal; services
+     * A runnable config holding a copy of @p spec; the environment
+     * is not consulted.  Unknown policy names are fatal here,
+     * unknown application names when the sweep runs; services
      * validate() the spec first and reject bad jobs gracefully.
      */
     static SweepConfig fromSpec(const SweepJobSpec &spec);
 
   private:
-    std::vector<PolicySpec> specs_;
-    RenderScale scale_;
-    std::vector<FrameSpec> frames_;
-    LlcConfig llcConfig_;
-    std::uint64_t fullLlcBytes_ = 8ull << 20;
-    bool collectDram_ = false;
-    unsigned threads_ = 0;
-    unsigned frameWindow_ = 0;
-    int progress_ = -1;      ///< -1 auto, 0 off, 1 on
-    int retries_ = -1;       ///< -1 = GLLC_CELL_RETRIES
-    int backoffMs_ = -1;     ///< -1 = GLLC_CELL_BACKOFF_MS
-    int cellTimeoutMs_ = -1; ///< -1 = GLLC_CELL_TIMEOUT_MS
-    std::string checkpoint_; ///< "" = GLLC_CHECKPOINT
-    int resume_ = -1;        ///< -1 = GLLC_RESUME, else 0/1
+    explicit SweepConfig(SweepJobSpec spec);
+
+    SweepJobSpec spec_;
+
+    /**
+     * spec_.policies as runnable specs: the one thing a spec cannot
+     * carry is a registry-free policy factory.
+     */
+    std::vector<PolicySpec> policies_;
 };
 
 /**

@@ -197,89 +197,9 @@ class JsonParser
     {
         if (!consume('"'))
             return fail("expected '\"'");
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return nullptr;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("raw control character in string");
-            if (c != '\\') {
-                out.push_back(c);
-                ++pos_;
-                continue;
-            }
-            ++pos_;
-            if (pos_ >= text_.size())
-                return fail("truncated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':
-              case '\\':
-              case '/':
-                out.push_back(esc);
-                break;
-              case 'b':
-                out.push_back('\b');
-                break;
-              case 'f':
-                out.push_back('\f');
-                break;
-              case 'n':
-                out.push_back('\n');
-                break;
-              case 'r':
-                out.push_back('\r');
-                break;
-              case 't':
-                out.push_back('\t');
-                break;
-              case 'u': {
-                std::uint32_t code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    if (pos_ >= text_.size())
-                        return fail("truncated \\u escape");
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<std::uint32_t>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<std::uint32_t>(h - 'a')
-                            + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<std::uint32_t>(h - 'A')
-                            + 10;
-                    else
-                        return fail("invalid \\u escape");
-                }
-                // UTF-8 encode the BMP code point; surrogate pairs
-                // are beyond what the job API needs and rejected.
-                if (code >= 0xd800 && code <= 0xdfff)
-                    return fail("surrogate \\u escape unsupported");
-                if (code < 0x80) {
-                    out.push_back(static_cast<char>(code));
-                } else if (code < 0x800) {
-                    out.push_back(
-                        static_cast<char>(0xc0 | (code >> 6)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                } else {
-                    out.push_back(
-                        static_cast<char>(0xe0 | (code >> 12)));
-                    out.push_back(static_cast<char>(
-                        0x80 | ((code >> 6) & 0x3f)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3f)));
-                }
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
+        if (const char *why = decodeJsonString(text_, pos_, out))
+            return fail(why);
+        return nullptr;
     }
 
     Error *
@@ -341,6 +261,95 @@ Result<JsonValue>
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+const char *
+decodeJsonString(const std::string &text, std::size_t &pos,
+                 std::string &out)
+{
+    out.clear();
+    while (pos < text.size()) {
+        const char c = text[pos];
+        if (c == '"') {
+            ++pos;
+            return nullptr;
+        }
+        if (static_cast<unsigned char>(c) < 0x20)
+            return "raw control character in string";
+        if (c != '\\') {
+            out.push_back(c);
+            ++pos;
+            continue;
+        }
+        ++pos;
+        if (pos >= text.size())
+            return "truncated escape";
+        const char esc = text[pos++];
+        switch (esc) {
+          case '"':
+          case '\\':
+          case '/':
+            out.push_back(esc);
+            break;
+          case 'b':
+            out.push_back('\b');
+            break;
+          case 'f':
+            out.push_back('\f');
+            break;
+          case 'n':
+            out.push_back('\n');
+            break;
+          case 'r':
+            out.push_back('\r');
+            break;
+          case 't':
+            out.push_back('\t');
+            break;
+          case 'u': {
+            std::uint32_t code = 0;
+            for (int k = 0; k < 4; ++k) {
+                if (pos >= text.size())
+                    return "truncated \\u escape";
+                const char h = text[pos++];
+                code <<= 4;
+                if (h >= '0' && h <= '9')
+                    code |= static_cast<std::uint32_t>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    code |= static_cast<std::uint32_t>(h - 'a')
+                        + 10;
+                else if (h >= 'A' && h <= 'F')
+                    code |= static_cast<std::uint32_t>(h - 'A')
+                        + 10;
+                else
+                    return "invalid \\u escape";
+            }
+            // UTF-8 encode the BMP code point; surrogate pairs
+            // are beyond what the job API needs and rejected.
+            if (code >= 0xd800 && code <= 0xdfff)
+                return "surrogate \\u escape unsupported";
+            if (code < 0x80) {
+                out.push_back(static_cast<char>(code));
+            } else if (code < 0x800) {
+                out.push_back(
+                    static_cast<char>(0xc0 | (code >> 6)));
+                out.push_back(
+                    static_cast<char>(0x80 | (code & 0x3f)));
+            } else {
+                out.push_back(
+                    static_cast<char>(0xe0 | (code >> 12)));
+                out.push_back(static_cast<char>(
+                    0x80 | ((code >> 6) & 0x3f)));
+                out.push_back(
+                    static_cast<char>(0x80 | (code & 0x3f)));
+            }
+            break;
+          }
+          default:
+            return "unknown escape";
+        }
+    }
+    return "unterminated string";
 }
 
 std::string

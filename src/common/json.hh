@@ -107,6 +107,15 @@ class JsonValue
 [[nodiscard]] Result<JsonValue> parseJson(const std::string &text);
 
 /**
+ * Decode the rest of a JSON string literal: @p pos is just past the
+ * opening quote, and on success just past the closing one, with the
+ * unescaped bytes in @p out.  nullptr on success, else what is
+ * malformed.  parseJson() and the checkpoint line reader share it.
+ */
+const char *decodeJsonString(const std::string &text, std::size_t &pos,
+                             std::string &out);
+
+/**
  * Escape a string for embedding in a JSON emitter ("\\", '"',
  * control characters).  The inverse of the parser's unescaping; the
  * canonical writers (job_spec, protocol) share it.

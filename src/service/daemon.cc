@@ -7,11 +7,11 @@
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <netinet/in.h>
 #include <sstream>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -46,26 +46,6 @@ void
 sendError(int fd, const Error &error, int timeout_ms)
 {
     (void)writeFrame(fd, errorFrameJson(error), timeout_ms);
-}
-
-/** mkdir -p: create @p dir and any missing parents. */
-bool
-makeDirs(const std::string &dir)
-{
-    std::string partial;
-    std::size_t pos = 0;
-    while (pos <= dir.size()) {
-        const std::size_t slash = dir.find('/', pos);
-        const std::size_t end =
-            slash == std::string::npos ? dir.size() : slash;
-        partial.assign(dir, 0, end);
-        pos = end + 1;
-        if (partial.empty())
-            continue;
-        if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-    }
-    return true;
 }
 
 /** Fixed-point rendering of trace-clock microseconds. */
@@ -219,12 +199,16 @@ SweepDaemon::start()
     // are never read and never renamed; no worker of ours runs yet.
     if (store_.enabled())
         removeTraceTempFiles(store_.traceCacheDir());
-    if (!options_.traceDir.empty()
-        && !makeDirs(options_.traceDir))
-        return Error::format(ErrorCode::Io,
-                             "cannot create trace dir %s: %s",
-                             options_.traceDir.c_str(),
-                             std::strerror(errno));
+    if (!options_.traceDir.empty()) {
+        std::error_code mkdir_error;
+        std::filesystem::create_directories(options_.traceDir,
+                                            mkdir_error);
+        if (mkdir_error)
+            return Error::format(ErrorCode::Io,
+                                 "cannot create trace dir %s: %s",
+                                 options_.traceDir.c_str(),
+                                 mkdir_error.message().c_str());
+    }
     startTime_ = std::chrono::steady_clock::now();
 
     if (options_.recover && options_.journalPath.empty())
@@ -1081,11 +1065,13 @@ SweepDaemon::executeJob(const QueuedJob &job)
     if (!options_.traceDir.empty()) {
         job_trace_dir = options_.traceDir + "/job-"
                         + std::to_string(job.id) + ".d";
-        if (makeDirs(job_trace_dir))
+        std::error_code mkdir_error;
+        std::filesystem::create_directories(job_trace_dir, mkdir_error);
+        if (!mkdir_error)
             telemetry.traceDir = job_trace_dir;
         else
             warn("gllcd: cannot create job trace dir %s: %s",
-                 job_trace_dir.c_str(), std::strerror(errno));
+                 job_trace_dir.c_str(), mkdir_error.message().c_str());
     }
 
     ShardedRunStats stats;

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <sys/stat.h>
@@ -14,27 +15,6 @@ namespace gllc
 
 namespace
 {
-
-/** mkdir -p: create @p dir and any missing parents. */
-bool
-makeDirs(const std::string &dir)
-{
-    std::string partial;
-    std::size_t pos = 0;
-    while (pos <= dir.size()) {
-        const std::size_t slash = dir.find('/', pos);
-        const std::size_t end =
-            slash == std::string::npos ? dir.size() : slash;
-        partial.assign(dir, 0, end);
-        pos = end + 1;
-        if (partial.empty())
-            continue;
-        if (::mkdir(partial.c_str(), 0755) != 0
-            && errno != EEXIST)
-            return false;
-    }
-    return true;
-}
 
 std::string
 keyFileName(const ResultKey &key)
@@ -91,10 +71,12 @@ ResultStore::store(const ResultKey &key, const std::string &payload)
 {
     if (root_.empty())
         return Unit{};
-    if (!makeDirs(root_))
+    std::error_code mkdir_error;
+    std::filesystem::create_directories(root_, mkdir_error);
+    if (mkdir_error)
         return Error::format(ErrorCode::Io,
                              "cannot create store dir %s: %s",
-                             root_.c_str(), std::strerror(errno));
+                             root_.c_str(), mkdir_error.message().c_str());
     const std::string final_path = path(key);
     const std::string tmp_path =
         final_path + ".tmp." + std::to_string(::getpid());

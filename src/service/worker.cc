@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <poll.h>
 #include <signal.h>
@@ -33,7 +32,6 @@
 #include "common/trace_event.hh"
 #include "service/fd_hygiene.hh"
 #include "trace/trace_io.hh"
-#include "workload/app_profile.hh"
 #include "workload/trace_cache.hh"
 
 namespace gllc
@@ -684,9 +682,6 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
             t.join();
     }
 
-    RenderScale scale;
-    scale.linear = spec.scaleLinear;
-    scale.scatterPages = spec.scatterPages;
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -695,9 +690,9 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
         MutexLock lock(shared.mutex);
         *stats = shared.stats;
     }
-    return SweepResult(spec.policies, scale,
-                       scaledLlcConfig(spec.llcBytes, scale.pixelScale()),
-                       std::move(outcomes), wall, shard_count);
+    return SweepResult(spec.policies, spec.renderScale(),
+                       spec.llcConfig(), std::move(outcomes), wall,
+                       shard_count);
 }
 
 int
@@ -738,19 +733,11 @@ runSweepWorker(const std::string &trace_cache_dir)
         return 65;
     }
 
-    RenderScale scale;
-    scale.linear = spec.scaleLinear;
-    scale.scatterPages = spec.scatterPages;
-    const LlcConfig llc =
-        scaledLlcConfig(spec.llcBytes, scale.pixelScale());
-
-    std::vector<PolicySpec> policies;
-    policies.reserve(spec.policies.size());
-    for (const std::string &name : spec.policies)
-        policies.push_back(tryPolicySpec(name).takeOrFatal());
-    std::map<std::string, const AppProfile *> apps;
-    for (const AppProfile &app : paperApps())
-        apps[app.name] = &app;
+    const RenderScale scale = spec.renderScale();
+    const LlcConfig llc = spec.llcConfig();
+    const std::vector<PolicySpec> policies =
+        spec.policySpecs().takeOrFatal();
+    const std::vector<FrameSpec> frames = spec.frameSpecs().takeOrFatal();
 
     // Trace context (set by the optional trace line): where this
     // worker's spans go and how to land them on the daemon's clock.
@@ -827,14 +814,13 @@ runSweepWorker(const std::string &trace_cache_dir)
             rc = 65;
             break;
         }
-        const SweepJobFrame &frame =
-            spec.frames[frame_idx.value()];
+        const FrameSpec &frame = frames[frame_idx.value()];
         const PolicySpec &policy = policies[policy_idx.value()];
         const unsigned attempt =
             static_cast<unsigned>(attempt_no.value());
 
         SweepCell cell;
-        cell.key = {frame.app, frame.frameIndex, policy.name};
+        cell.key = {frame.app->name, frame.frameIndex, policy.name};
         cell.attempts = attempt;
         const std::uint64_t fault_key =
             cellFaultKey(cell.key, attempt);
@@ -863,15 +849,15 @@ runSweepWorker(const std::string &trace_cache_dir)
                 // cannot leave another frame's trace behind.
                 rendered.reset();
                 TraceSpan render("render",
-                                 frame.app + " frame "
+                                 frame.app->name + " frame "
                                      + std::to_string(frame.frameIndex),
-                                 {{"app", frame.app},
+                                 {{"app", frame.app->name},
                                   {"frame",
                                    std::to_string(frame.frameIndex)},
                                   {"trace", trace_id}});
                 bool loaded = false;
                 rendered.emplace(frame_idx.value(),
-                                 cachedRenderFrame(*apps.at(frame.app),
+                                 cachedRenderFrame(*frame.app,
                                                    frame.frameIndex,
                                                    scale,
                                                    trace_cache_dir,

@@ -264,7 +264,8 @@ TEST(JobQueue, ConcurrentPushersAndPopperLoseNothing)
     pushers.reserve(kPushers);
     for (unsigned t = 0; t < kPushers; ++t) {
         pushers.emplace_back([&, t] {
-            const std::string tenant = "t" + std::to_string(t % 3);
+            std::string tenant(1, 't');
+            tenant += std::to_string(t % 3);
             for (std::uint64_t i = 0; i < kJobsPerPusher; ++i) {
                 const std::uint64_t id =
                     t * kJobsPerPusher + i + 1;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -267,6 +268,28 @@ TEST(SweepJobSpec, ResolveRoundTripsThroughFromSpec)
             .backoffMs(3)
             .resolve();
     EXPECT_EQ(SweepConfig::fromSpec(spec).resolve(), spec);
+}
+
+TEST(SweepJobSpec, FromSpecIgnoresTheEnvironment)
+{
+    // fromSpec() runs the spec it is given, whatever the sweep
+    // knobs in the environment say, also where a field holds its
+    // "off" value: no checkpoint, a default frame window, no retries.
+    const AppProfile &app = paperApps().front();
+    SweepJobSpec spec;
+    spec.policies = {"NRU"};
+    spec.frames = {{app.name, 1}};
+    spec.checkpoint = "";
+    spec.frameWindow = 0;
+    spec.retries = 0;
+    ::setenv("GLLC_CHECKPOINT", "/tmp/env-only.jsonl", 1);
+    ::setenv("GLLC_FRAME_WINDOW", "3", 1);
+    ::setenv("GLLC_CELL_RETRIES", "7", 1);
+    const SweepJobSpec round_trip = SweepConfig::fromSpec(spec).resolve();
+    ::unsetenv("GLLC_CHECKPOINT");
+    ::unsetenv("GLLC_FRAME_WINDOW");
+    ::unsetenv("GLLC_CELL_RETRIES");
+    EXPECT_EQ(round_trip, spec) << round_trip.toJson();
 }
 
 TEST(CellKey, OrderFollowsTableOne)

@@ -292,6 +292,34 @@ TEST_F(SweepFaultEnv, ResumeAfterKillIsByteIdentical)
     std::remove(path.c_str());
 }
 
+TEST_F(SweepFaultEnv, ResumeRestoresPolicyNamedWithJsonSpecials)
+{
+    // A registry-free policy whose name needs escaping: a quote, a
+    // backslash and a newline.  The journal header must stay one
+    // line and read back to the same name, or resume starts over.
+    PolicySpec odd = policySpec("DRRIP");
+    odd.name = "a\"b\\c\nd";
+    const auto config = [&] {
+        return std::move(
+            SweepConfig().policySpecs({odd}).backoffMs(0));
+    };
+    const std::string path = tempJournal("escaped");
+    const std::string uninterrupted =
+        sweepJson(config().checkpoint(path).run());
+
+    Result<CheckpointContents> journal = loadCheckpoint(path);
+    ASSERT_TRUE(journal.ok()) << journal.error().toString();
+    EXPECT_EQ(journal.value().meta.policies,
+              std::vector<std::string>{odd.name});
+    EXPECT_EQ(journal.value().skippedLines, 0u);
+
+    const SweepResult resumed =
+        config().checkpoint(path).resume(true).run();
+    EXPECT_EQ(resumed.restoredCells(), 2u);
+    EXPECT_EQ(sweepJson(resumed), uninterrupted);
+    std::remove(path.c_str());
+}
+
 TEST_F(SweepFaultEnv, ResumeFromGarbageJournalRunsFully)
 {
     const std::string path = tempJournal("garbage");

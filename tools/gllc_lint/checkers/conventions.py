@@ -4,7 +4,7 @@ that must run without any LLVM tooling installed)."""
 import re
 from pathlib import Path
 
-from ..core import Finding, register
+from ..core import Finding, register, strip_comments_and_strings
 
 BARE_ASSERT = re.compile(r"(?<![\w:])assert\s*\(")
 BANNED_RAND = re.compile(
@@ -240,6 +240,42 @@ class CellFaultSite:
                     f"{match.group(0)} drawn outside the shared cell "
                     "policy; call injectCellFaults() "
                     "(analysis/cell_attempts.hh) instead")
+
+
+# The sweep knobs a SweepConfig reads from the environment once, at
+# construction; everything else takes them from the SweepJobSpec.
+SWEEP_KNOB = re.compile(
+    r'"(GLLC_(?:FRAME_WINDOW|CELL_RETRIES|CELL_BACKOFF_MS|'
+    r'CELL_TIMEOUT_MS|CHECKPOINT|RESUME))"')
+
+SWEEP_KNOB_HOME = Path("src/analysis/sweep.cc")
+
+
+@register
+class SweepKnobEnv:
+    """A sweep's execution knobs live in its SweepJobSpec, which keys
+    the gllcd result store and travels to the workers.  A second read
+    of GLLC_CHECKPOINT or GLLC_FRAME_WINDOW behind the spec's back is
+    how SweepConfig::fromSpec() once ran a different sweep than the
+    spec it was given.  So only the SweepConfig constructor
+    (analysis/sweep.cc) names these knobs."""
+
+    name = "sweep-knob-env"
+    description = ("sweep knob (GLLC_FRAME_WINDOW, GLLC_CELL_*, "
+                   "GLLC_CHECKPOINT, GLLC_RESUME) read outside "
+                   "analysis/sweep.cc")
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src" or ctx.rel == SWEEP_KNOB_HOME:
+            return
+        code = strip_comments_and_strings(ctx.raw, keep_strings=True)
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            for match in SWEEP_KNOB.finditer(line):
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    f"{match.group(1)} read outside the SweepConfig "
+                    "constructor; take the value from the "
+                    "SweepJobSpec (analysis/job_spec.hh)")
 
 
 @register

@@ -141,9 +141,10 @@ def run_checkers(root, checkers):
     return findings, len(files)
 
 
-def strip_comments_and_strings(text):
+def strip_comments_and_strings(text, keep_strings=False):
     """Blank out comments and string/char literals, keeping line
-    structure so reported line numbers stay accurate."""
+    structure so reported line numbers stay accurate.  With
+    @p keep_strings the literals survive and only comments go."""
     out = []
     i = 0
     n = len(text)
@@ -164,12 +165,12 @@ def strip_comments_and_strings(text):
                 continue
             if c == '"':
                 state = "dquote"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             if c == "'":
                 state = "squote"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             out.append(c)
@@ -189,11 +190,11 @@ def strip_comments_and_strings(text):
         else:  # dquote / squote
             quote = '"' if state == "dquote" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == quote:
                 state = "code"
-            out.append(" " if c != "\n" else c)
+            out.append(c if keep_strings or c == "\n" else " ")
         i += 1
     return "".join(out)

@@ -200,6 +200,29 @@ class TestConventions(LintFixture):
         self.write("tests/t.cc", draw)
         self.assertEqual(self.run_checker("cell-fault-site"), [])
 
+    def test_sweep_knob_env_flags_reads_outside_the_constructor(self):
+        self.write("src/service/worker.cc",
+                   "unsigned w = envInt(\"GLLC_FRAME_WINDOW\", 0);\n"
+                   "std::string p =\n"
+                   "    envString(\"GLLC_CHECKPOINT\", \"\");\n")
+        findings = self.run_checker("sweep-knob-env")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/service/worker.cc", 1),
+                          ("src/service/worker.cc", 3)])
+        self.assertIn("GLLC_FRAME_WINDOW", findings[0].message)
+
+    def test_sweep_knob_env_allows_sweep_cc_comments_and_others(self):
+        read = "bool r = envInt(\"GLLC_RESUME\", 0) != 0;\n"
+        self.write("src/analysis/sweep.cc", read)
+        # Comments, other knobs, longer names and code outside src/
+        # pass.
+        self.write("src/analysis/job_spec.hh",
+                   "// GLLC_CELL_RETRIES overrides \"GLLC_RESUME\"\n"
+                   "int t = envInt(\"GLLC_THREADS\", 0);\n"
+                   "auto x = envInt(\"GLLC_CHECKPOINT_DIR\", 0);\n")
+        self.write("tests/t.cc", read)
+        self.assertEqual(self.run_checker("sweep-knob-env"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",
