@@ -8,7 +8,7 @@
  * frame" (Section 2).  runTrace() is that component: it builds a
  * BankedLlc for one policy and replays the trace through the access
  * path instantiated on that policy's class (analysis/policy_types.hh),
- * with the Characterizer as observer.
+ * with the Characterizer as observer unless RunOptions turns it off.
  */
 
 #ifndef GLLC_ANALYSIS_OFFLINE_SIM_HH
@@ -29,6 +29,8 @@ namespace gllc
 struct RunResult
 {
     LlcStats stats;
+
+    /** Left empty when RunOptions::characterize is off. */
     Characterization characterization;
     FillHistogram fills;
 
@@ -45,6 +47,13 @@ struct RunOptions
 {
     /** Collect RunResult::dramTrace (needed for timing runs). */
     bool collectDramTrace = false;
+
+    /**
+     * Run the Characterizer and fill RunResult::characterization.
+     * Off, the replay observes nothing (NullAccessObserver); callers
+     * that never read the characterization switch it off.
+     */
+    bool characterize = true;
 };
 
 /**

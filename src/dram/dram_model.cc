@@ -1,6 +1,6 @@
 #include "dram/dram_model.hh"
 
-#include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/fault.hh"
@@ -55,166 +55,55 @@ DramConfig::gddr5()
 DramModel::DramModel(const DramConfig &config)
     : config_(config)
 {
-    GLLC_ASSERT(config.channels > 0 && config.banksPerChannel > 0);
-    GLLC_ASSERT((config.channels & (config.channels - 1)) == 0);
-    GLLC_ASSERT(
-        (config.banksPerChannel & (config.banksPerChannel - 1)) == 0);
+    const std::uint32_t blocks_per_row = config.rowBytes / kBlockBytes;
+    GLLC_ASSERT(std::has_single_bit(config.channels));
+    GLLC_ASSERT(std::has_single_bit(config.banksPerChannel));
+    GLLC_ASSERT(std::has_single_bit(blocks_per_row));
+    channelMask_ = config.channels - 1;
+    bankMask_ = config.banksPerChannel - 1;
+    bankShift_ = static_cast<std::uint32_t>(
+        std::countr_zero(config.banksPerChannel));
+    rowSequenceShift_ = static_cast<std::uint32_t>(
+        std::countr_zero(config.channels)
+        + std::countr_zero(blocks_per_row));
 }
 
-std::uint32_t
-DramModel::channelOf(Addr addr) const
+DramModel::Schedule::Schedule(const DramModel &model)
+    : model_(model),
+      banks_(static_cast<std::size_t>(model.config_.channels)
+             * model.config_.banksPerChannel),
+      channels_(model.config_.channels),
+      metrics_(metricsActive())
 {
-    // Block-interleaved channels maximize delivered bandwidth on
-    // streaming access patterns.
-    return static_cast<std::uint32_t>(blockNumber(addr)
-                                      & (config_.channels - 1));
-}
-
-std::uint32_t
-DramModel::bankOf(Addr addr) const
-{
-    const std::uint64_t blocks_per_row = config_.rowBytes / kBlockBytes;
-    const std::uint64_t row_seq =
-        (blockNumber(addr) / config_.channels) / blocks_per_row;
-    return static_cast<std::uint32_t>(row_seq
-                                      & (config_.banksPerChannel - 1));
-}
-
-std::uint64_t
-DramModel::rowOf(Addr addr) const
-{
-    const std::uint64_t blocks_per_row = config_.rowBytes / kBlockBytes;
-    return (blockNumber(addr) / config_.channels) / blocks_per_row
-        / config_.banksPerChannel;
+    // tRefi == 0 disables refresh: no start reaches the boundary.
+    for (ChannelState &channel : channels_) {
+        channel.nextRefresh = model.config_.tRefi != 0
+            ? model.config_.tRefi
+            : ~0ull;
+    }
+    if (metrics_) {
+        channelStats_.resize(channels_.size());
+        bankRequests_.resize(banks_.size(), 0);
+    }
 }
 
 DramStats
 DramModel::simulate(const std::vector<DramRequest> &requests)
 {
-    struct BankState
-    {
-        std::uint64_t row = ~0ull;
-        std::uint64_t ready = 0;
-        bool open = false;
-    };
+    return simulate(requests.size(), [&requests](Schedule &schedule) {
+        for (const DramRequest &req : requests)
+            schedule.service(req.addr, req.arrival, req.isWrite);
+    });
+}
 
+void
+DramModel::checkFault(std::uint64_t count)
+{
     // dram.simulate fault site: keyed on the request-stream shape,
     // so the same batch fails at any thread count.
     if (faultsActive()
-        && faultFires(FaultSite::DramSimulate,
-                      mix64(requests.size())))
+        && faultFires(FaultSite::DramSimulate, mix64(count)))
         throwInjectedFault(FaultSite::DramSimulate);
-
-    const std::uint32_t nch = config_.channels;
-    const std::uint32_t nbank = config_.banksPerChannel;
-
-    std::vector<BankState> banks(
-        static_cast<std::size_t>(nch) * nbank);
-    std::vector<std::uint64_t> bus_free(nch, 0);
-    std::vector<bool> last_was_write(nch, false);
-    std::vector<std::uint64_t> refresh_done(nch, 0);
-
-    // Per-channel stats + per-(channel, bank) request counts (the
-    // bank-level-parallelism view), kept only while metrics are on.
-    const bool metrics = metricsActive();
-    std::vector<DramStats> channel_stats(metrics ? nch : 0);
-    std::vector<std::uint64_t> bank_requests(
-        metrics ? static_cast<std::size_t>(nch) * nbank : 0, 0);
-
-    DramStats stats;
-    std::uint64_t last_arrival = 0;
-
-    for (const DramRequest &req : requests) {
-        GLLC_ASSERT(req.arrival >= last_arrival);
-        last_arrival = req.arrival;
-
-        const std::uint32_t ch = channelOf(req.addr);
-        const std::uint32_t bk = bankOf(req.addr);
-        const std::uint64_t row = rowOf(req.addr);
-        BankState &bank = banks[static_cast<std::size_t>(ch) * nbank
-                                + bk];
-
-        std::uint64_t start = std::max(req.arrival, bank.ready);
-
-        // All-bank refresh: when the schedule crosses a tREFI
-        // boundary the channel stalls for tRFC and every row closes.
-        if (config_.tRefi != 0) {
-            const std::uint64_t window = start / config_.tRefi;
-            if (window > refresh_done[ch]) {
-                refresh_done[ch] = window;
-                ++stats.refreshes;
-                start += config_.tRfc;
-                for (std::uint32_t b = 0; b < nbank; ++b) {
-                    banks[static_cast<std::size_t>(ch) * nbank + b]
-                        .open = false;
-                }
-            }
-        }
-
-        // Row misses pay precharge + activate before the CAS; row
-        // hits pipeline CAS-to-CAS at the burst rate, so the bank is
-        // only occupied for the burst.
-        std::uint64_t cas_ready = start;
-        if (bank.open && bank.row == row) {
-            ++stats.rowHits;
-            if (metrics)
-                ++channel_stats[ch].rowHits;
-        } else {
-            ++stats.rowMisses;
-            if (bank.open)
-                ++stats.rowConflicts;
-            if (metrics) {
-                ++channel_stats[ch].rowMisses;
-                if (bank.open)
-                    ++channel_stats[ch].rowConflicts;
-            }
-            cas_ready += (bank.open ? config_.tRp : 0) + config_.tRcd;
-            bank.open = true;
-            bank.row = row;
-        }
-
-        const std::uint64_t data_ready = cas_ready + config_.tCas;
-        std::uint64_t bus_earliest = bus_free[ch];
-        if (!req.isWrite && last_was_write[ch]) {
-            // Write-to-read turnaround on the shared data bus.
-            bus_earliest += config_.tWtr;
-            ++stats.turnarounds;
-        }
-        last_was_write[ch] = req.isWrite;
-        const std::uint64_t bus_start =
-            std::max(data_ready, bus_earliest);
-        const std::uint64_t completion =
-            bus_start + config_.burstCycles();
-
-        bus_free[ch] = completion;
-        // The bank can accept the next CAS one burst after this one;
-        // the data return (tCAS) overlaps with it.
-        bank.ready = cas_ready + config_.burstCycles();
-        stats.busBusyCycles += config_.burstCycles();
-
-        ++stats.requests;
-        if (req.isWrite)
-            ++stats.writes;
-        else
-            ++stats.reads;
-        stats.finishCycle = std::max(stats.finishCycle, completion);
-        stats.totalLatency += completion - req.arrival;
-
-        if (metrics) {
-            DramStats &cs = channel_stats[ch];
-            ++cs.requests;
-            if (req.isWrite)
-                ++cs.writes;
-            else
-                ++cs.reads;
-            ++bank_requests[static_cast<std::size_t>(ch) * nbank + bk];
-        }
-    }
-
-    if (metrics)
-        flushMetrics(stats, channel_stats, bank_requests);
-
-    return stats;
 }
 
 void

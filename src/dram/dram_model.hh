@@ -16,10 +16,12 @@
 #ifndef GLLC_DRAM_DRAM_MODEL_HH
 #define GLLC_DRAM_DRAM_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace gllc
@@ -131,10 +133,20 @@ struct DramStats
     }
 };
 
-/** The DDR3 timing model. */
+/**
+ * The DDR3 timing model.
+ *
+ * Addresses map to (channel, bank, row) by shifts and masks: block
+ * numbers interleave across channels, each bank row holds
+ * rowBytes / kBlockBytes consecutive blocks of one channel, and
+ * consecutive rows rotate across the banks.  Channels, banks per
+ * channel and blocks per row must therefore be powers of two.
+ */
 class DramModel
 {
   public:
+    class Schedule;
+
     explicit DramModel(const DramConfig &config);
 
     /**
@@ -143,16 +155,55 @@ class DramModel
      */
     DramStats simulate(const std::vector<DramRequest> &requests);
 
+    /**
+     * Service a request stream generated on the fly, so callers need
+     * not materialize it: @p issue is called once with the
+     * Schedule and must call Schedule::service() exactly @p count
+     * times, in non-decreasing arrival order.  Stats, metrics and the
+     * dram.simulate fault key are those of simulate() on the same
+     * requests.
+     */
+    template <typename Issue>
+    DramStats simulate(std::uint64_t count, Issue &&issue);
+
     const DramConfig &config() const { return config_; }
 
     /// @name Address mapping (exposed for tests)
     /// @{
-    std::uint32_t channelOf(Addr addr) const;
-    std::uint32_t bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
+    std::uint32_t
+    channelOf(Addr addr) const
+    {
+        // Block-interleaved channels maximize delivered bandwidth on
+        // streaming access patterns.
+        return static_cast<std::uint32_t>(blockNumber(addr))
+            & channelMask_;
+    }
+
+    std::uint32_t
+    bankOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(rowSequence(addr))
+            & bankMask_;
+    }
+
+    std::uint64_t
+    rowOf(Addr addr) const
+    {
+        return rowSequence(addr) >> bankShift_;
+    }
     /// @}
 
   private:
+    /** Index of @p addr's row among its channel's rows, all banks. */
+    std::uint64_t
+    rowSequence(Addr addr) const
+    {
+        return blockNumber(addr) >> rowSequenceShift_;
+    }
+
+    /** Check the dram.simulate fault site for a @p count stream. */
+    static void checkFault(std::uint64_t count);
+
     /**
      * Flush aggregate and per-channel counters plus the per-channel
      * bank-request distribution into the metrics registry under
@@ -164,7 +215,168 @@ class DramModel
         const std::vector<std::uint64_t> &bank_requests) const;
 
     DramConfig config_;
+
+    std::uint32_t channelMask_ = 0;
+    std::uint32_t bankMask_ = 0;
+    std::uint32_t bankShift_ = 0;
+
+    /** log2(channels) + log2(blocks per row). */
+    std::uint32_t rowSequenceShift_ = 0;
 };
+
+/**
+ * The servicing state of one request stream: per-bank row buffers,
+ * per-channel data bus, write-to-read turnaround and refresh
+ * windows.  service() is the one per-request step every
+ * DramModel::simulate() entry point runs.
+ */
+class DramModel::Schedule
+{
+  public:
+    /** Service one request; arrivals must be non-decreasing. */
+    void service(Addr addr, std::uint64_t arrival, bool is_write);
+
+  private:
+    friend class DramModel;
+
+    explicit Schedule(const DramModel &model);
+
+    struct BankState
+    {
+        std::uint64_t row = ~0ull;
+        std::uint64_t ready = 0;
+        bool open = false;
+    };
+
+    struct ChannelState
+    {
+        /** Cycle the data bus frees up. */
+        std::uint64_t busFree = 0;
+
+        /**
+         * First cycle of the next tREFI window: a request starting
+         * at or after it triggers a refresh.
+         */
+        std::uint64_t nextRefresh = 0;
+
+        bool lastWasWrite = false;
+    };
+
+    const DramModel &model_;
+    std::vector<BankState> banks_;
+    std::vector<ChannelState> channels_;
+
+    /**
+     * Per-channel stats + per-(channel, bank) request counts (the
+     * bank-level-parallelism view), kept only while metrics are on.
+     */
+    bool metrics_ = false;
+    std::vector<DramStats> channelStats_;
+    std::vector<std::uint64_t> bankRequests_;
+
+    DramStats stats_;
+    std::uint64_t lastArrival_ = 0;
+};
+
+template <typename Issue>
+DramStats
+DramModel::simulate(std::uint64_t count, Issue &&issue)
+{
+    checkFault(count);
+    Schedule schedule(*this);
+    issue(schedule);
+    GLLC_ASSERT(schedule.stats_.requests == count);
+    if (schedule.metrics_)
+        flushMetrics(schedule.stats_, schedule.channelStats_,
+                     schedule.bankRequests_);
+    return schedule.stats_;
+}
+
+inline void
+DramModel::Schedule::service(Addr addr, std::uint64_t arrival,
+                             bool is_write)
+{
+    GLLC_ASSERT(arrival >= lastArrival_);
+    lastArrival_ = arrival;
+
+    const DramConfig &c = model_.config_;
+    const std::uint32_t ch = model_.channelOf(addr);
+    const std::uint32_t bk = model_.bankOf(addr);
+    const std::uint64_t row = model_.rowOf(addr);
+    const std::size_t nbank = c.banksPerChannel;
+    BankState &bank = banks_[ch * nbank + bk];
+    ChannelState &channel = channels_[ch];
+
+    std::uint64_t start = std::max(arrival, bank.ready);
+
+    // All-bank refresh: when the schedule crosses a tREFI boundary
+    // the channel stalls for tRFC and every row closes.  The window
+    // is only computed when one is crossed.
+    if (start >= channel.nextRefresh) {
+        channel.nextRefresh = (start / c.tRefi + 1) * c.tRefi;
+        ++stats_.refreshes;
+        start += c.tRfc;
+        for (std::size_t b = 0; b < nbank; ++b)
+            banks_[ch * nbank + b].open = false;
+    }
+
+    // Row misses pay precharge + activate before the CAS; row hits
+    // pipeline CAS-to-CAS at the burst rate, so the bank is only
+    // occupied for the burst.
+    std::uint64_t cas_ready = start;
+    if (bank.open && bank.row == row) {
+        ++stats_.rowHits;
+        if (metrics_)
+            ++channelStats_[ch].rowHits;
+    } else {
+        ++stats_.rowMisses;
+        if (bank.open)
+            ++stats_.rowConflicts;
+        if (metrics_) {
+            ++channelStats_[ch].rowMisses;
+            if (bank.open)
+                ++channelStats_[ch].rowConflicts;
+        }
+        cas_ready += (bank.open ? c.tRp : 0) + c.tRcd;
+        bank.open = true;
+        bank.row = row;
+    }
+
+    const std::uint64_t data_ready = cas_ready + c.tCas;
+    std::uint64_t bus_earliest = channel.busFree;
+    if (!is_write && channel.lastWasWrite) {
+        // Write-to-read turnaround on the shared data bus.
+        bus_earliest += c.tWtr;
+        ++stats_.turnarounds;
+    }
+    channel.lastWasWrite = is_write;
+    const std::uint64_t bus_start = std::max(data_ready, bus_earliest);
+    const std::uint64_t completion = bus_start + c.burstCycles();
+
+    channel.busFree = completion;
+    // The bank can accept the next CAS one burst after this one; the
+    // data return (tCAS) overlaps with it.
+    bank.ready = cas_ready + c.burstCycles();
+    stats_.busBusyCycles += c.burstCycles();
+
+    ++stats_.requests;
+    if (is_write)
+        ++stats_.writes;
+    else
+        ++stats_.reads;
+    stats_.finishCycle = std::max(stats_.finishCycle, completion);
+    stats_.totalLatency += completion - arrival;
+
+    if (metrics_) {
+        DramStats &cs = channelStats_[ch];
+        ++cs.requests;
+        if (is_write)
+            ++cs.writes;
+        else
+            ++cs.reads;
+        ++bankRequests_[ch * nbank + bk];
+    }
+}
 
 } // namespace gllc
 

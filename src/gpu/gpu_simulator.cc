@@ -14,11 +14,11 @@ simulateFrame(const FrameTrace &trace, const PolicySpec &policy,
 
     RunOptions options;
     options.collectDramTrace = true;
+    options.characterize = false;
     const RunResult run = runTrace(trace, policy, llc, options);
 
     FrameSimResult result;
     result.llcStats = run.stats;
-    result.characterization = run.characterization;
     result.timing =
         timeFrame(trace.work, run.stats, run.dramTrace, config);
     return result;

@@ -21,13 +21,13 @@ struct FrameSimResult
 {
     FrameTiming timing;
     LlcStats llcStats;
-    Characterization characterization;
 };
 
 /**
  * Simulate one already-rendered frame trace under @p policy on
  * @p config.  The LLC geometry is taken from the config, scaled by
- * @p scale to match the trace.
+ * @p scale to match the trace.  Nothing here reads a
+ * characterization, so the replay runs without the Characterizer.
  */
 FrameSimResult simulateFrame(const FrameTrace &trace,
                              const PolicySpec &policy,

@@ -8,35 +8,6 @@
 namespace gllc
 {
 
-namespace
-{
-
-/** Build the DRAM request stream, stretching arrivals by @p factor. */
-std::vector<DramRequest>
-buildRequests(const std::vector<MemAccess> &dram_trace,
-              double gpu_to_dram_cycles, double stretch)
-{
-    std::vector<DramRequest> reqs;
-    reqs.reserve(dram_trace.size());
-    std::uint64_t last = 0;
-    for (const MemAccess &a : dram_trace) {
-        DramRequest r;
-        r.addr = a.addr;
-        r.arrival = static_cast<std::uint64_t>(
-            static_cast<double>(a.cycle) * stretch
-            * gpu_to_dram_cycles);
-        // Trace order is service order; keep arrivals monotone even
-        // if cycle stamps repeat.
-        r.arrival = std::max(r.arrival, last);
-        last = r.arrival;
-        r.isWrite = a.isWrite;
-        reqs.push_back(r);
-    }
-    return reqs;
-}
-
-} // namespace
-
 FrameTiming
 timeFrame(const FrameWork &work, const LlcStats &llc_stats,
           const std::vector<MemAccess> &dram_trace,
@@ -73,51 +44,80 @@ timeFrame(const FrameWork &work, const LlcStats &llc_stats,
         std::max({t.computeCycles, t.samplerCycles, t.llcCycles});
 
     // DRAM schedule: arrivals spread over the execution window; the
-    // schedule length beyond the window is the memory overhang.
+    // schedule length beyond the window is the memory overhang.  The
+    // trace is fed to the model as it is read, with no request copy.
     DramModel dram(config.dram);
     const double gpu_to_dram =
         (config.dram.clockMhz / 1000.0) / config.coreClockGhz;
     const double stretch = std::max(1.0, base / issue_span);
-    std::vector<DramRequest> requests =
-        buildRequests(dram_trace, gpu_to_dram, stretch);
+    const auto arrival_of = [&](std::uint32_t cycle) {
+        return static_cast<std::uint64_t>(
+            static_cast<double>(cycle) * stretch * gpu_to_dram);
+    };
 
     // Optional display engine: scan-out reads the front buffer at
     // the refresh rate, a constant background load on the memory
-    // system (interleaved by arrival time).
+    // system, interleaved by arrival time over the window up to the
+    // last trace arrival.  The arrival map is monotone in the cycle,
+    // so that arrival is the one of the largest cycle stamp.
+    std::uint64_t scan_blocks = 0;
+    double window_dram = 0.0;
     if (config.scanoutHz > 0.0 && config.scanoutBytes > 0
-        && !requests.empty()) {
-        const double window_dram =
-            static_cast<double>(requests.back().arrival) + 1.0;
+        && !dram_trace.empty()) {
+        const std::uint32_t last_cycle =
+            std::max_element(dram_trace.begin(), dram_trace.end(),
+                             [](const MemAccess &x, const MemAccess &y) {
+                                 return x.cycle < y.cycle;
+                             })
+                ->cycle;
+        window_dram = static_cast<double>(arrival_of(last_cycle)) + 1.0;
         const double window_s = window_dram
             / (config.dram.clockMhz * 1e6);
-        const std::uint64_t blocks = static_cast<std::uint64_t>(
+        scan_blocks = static_cast<std::uint64_t>(
             window_s * config.scanoutHz
             * static_cast<double>(config.scanoutBytes) / kBlockBytes);
-        std::vector<DramRequest> merged;
-        merged.reserve(requests.size() + blocks);
-        // Front buffer placed beyond the render surfaces.
-        const Addr scan_base = 1ull << 40;
-        std::size_t r = 0;
-        for (std::uint64_t b = 0; b < blocks; ++b) {
-            DramRequest s;
-            s.addr = scan_base + (b * kBlockBytes)
-                % std::max<std::uint64_t>(config.scanoutBytes,
-                                          kBlockBytes);
-            s.arrival = static_cast<std::uint64_t>(
-                static_cast<double>(b) * window_dram
-                / static_cast<double>(blocks));
-            s.isWrite = false;
-            while (r < requests.size()
-                   && requests[r].arrival <= s.arrival)
-                merged.push_back(requests[r++]);
-            merged.push_back(s);
-        }
-        while (r < requests.size())
-            merged.push_back(requests[r++]);
-        requests = std::move(merged);
     }
+    // Front buffer placed beyond the render surfaces.
+    const Addr scan_base = 1ull << 40;
+    const std::uint64_t scan_span =
+        std::max<std::uint64_t>(config.scanoutBytes, kBlockBytes);
+    const auto scan_arrival = [&](std::uint64_t b) {
+        return static_cast<std::uint64_t>(
+            static_cast<double>(b) * window_dram
+            / static_cast<double>(scan_blocks));
+    };
 
-    const DramStats dstats = dram.simulate(requests);
+    const DramStats dstats = dram.simulate(
+        dram_trace.size() + scan_blocks,
+        [&](DramModel::Schedule &schedule) {
+            constexpr std::uint64_t kNone = ~0ull;
+            std::uint64_t b = 0;
+            std::uint64_t scan_at =
+                scan_blocks > 0 ? scan_arrival(0) : kNone;
+            // Scan-out reads arriving strictly before @p limit; a
+            // trace request goes ahead of a scan-out read with the
+            // same arrival.
+            const auto scan_before = [&](std::uint64_t limit) {
+                while (scan_at < limit) {
+                    schedule.service(
+                        scan_base + (b * kBlockBytes) % scan_span,
+                        scan_at, false);
+                    scan_at = ++b < scan_blocks ? scan_arrival(b)
+                                                : kNone;
+                }
+            };
+            std::uint64_t last = 0;
+            for (const MemAccess &a : dram_trace) {
+                // Trace order is service order; keep arrivals
+                // monotone even if cycle stamps repeat.
+                const std::uint64_t arrival =
+                    std::max(arrival_of(a.cycle), last);
+                last = arrival;
+                scan_before(arrival);
+                schedule.service(a.addr, arrival, a.isWrite);
+            }
+            scan_before(kNone);
+        });
     t.dramCycles =
         static_cast<double>(dstats.finishCycle) / gpu_to_dram;
     t.rowHitRate = dstats.requests == 0

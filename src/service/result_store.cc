@@ -80,26 +80,26 @@ ResultStore::store(const ResultKey &key, const std::string &payload)
     const std::string final_path = path(key);
     const std::string tmp_path =
         final_path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp_path, std::ios::binary);
-        if (!os)
-            return Error::format(ErrorCode::Io,
-                                 "cannot write %s: %s",
-                                 tmp_path.c_str(),
-                                 std::strerror(errno));
-        os << payload;
-        if (!os.good())
-            return Error::format(ErrorCode::Io, "write failed on %s",
-                                 tmp_path.c_str());
-    }
-    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-        const Error err = Error::format(
-            ErrorCode::Io, "rename %s -> %s failed: %s",
-            tmp_path.c_str(), final_path.c_str(),
-            std::strerror(errno));
+    // Every failure removes the temp file, so nothing partial is ever
+    // left behind or published.
+    const auto fail = [&tmp_path](const char *what) -> Result<Unit> {
+        const Error err = Error::format(ErrorCode::Io, "%s %s: %s",
+                                        what, tmp_path.c_str(),
+                                        std::strerror(errno));
         ::unlink(tmp_path.c_str());
         return err;
-    }
+    };
+    std::ofstream os(tmp_path, std::ios::binary);
+    if (!os)
+        return fail("cannot write");
+    os << payload;
+    // A payload that fits in the stream buffer only reaches the disk
+    // in the flush of close(), so the check must follow it.
+    os.close();
+    if (!os)
+        return fail("write failed on");
+    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0)
+        return fail("cannot rename");
     return Unit{};
 }
 

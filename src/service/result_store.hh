@@ -95,7 +95,9 @@ class ResultStore
 
     /**
      * Atomically persist @p payload under @p key (temp file +
-     * rename).  Io on filesystem failure; the daemon logs and
+     * rename).  Io on filesystem failure, including a failed final
+     * flush; the temp file is then removed and nothing is
+     * published under @p key.  The daemon logs and
      * continues, because serving the computed result matters more
      * than caching it.
      */

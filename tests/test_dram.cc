@@ -249,3 +249,16 @@ TEST(DramDeath, ArrivalsMustBeMonotone)
     EXPECT_DEATH(dram.simulate(r), "");
 #endif
 }
+
+TEST(DramDeath, RowBlocksMustBePowerOfTwo)
+{
+#ifdef GLLC_DISABLE_ASSERTS
+    GTEST_SKIP() << "GLLC_ASSERT compiled out (-DGLLC_ASSERTS=OFF)";
+#else
+    // The (channel, bank, row) mapping is shifts and masks, so a row
+    // must hold a power-of-two number of blocks.
+    DramConfig config = DramConfig::ddr3_1600();
+    config.rowBytes = 3 * kBlockBytes;
+    EXPECT_DEATH(DramModel{config}, "");
+#endif
+}

@@ -55,7 +55,8 @@ TEST(GpuSim, DeterministicAcrossRuns)
     const FrameSimResult b =
         simulateFrame(frame(), policySpec("GSPC"), gpu, tinyScale());
     EXPECT_EQ(a.llcStats.totalMisses(), b.llcStats.totalMisses());
-    EXPECT_DOUBLE_EQ(a.timing.frameCycles, b.timing.frameCycles);
+    EXPECT_EQ(a.timing.frameCycles, b.timing.frameCycles);
+    EXPECT_EQ(a.timing.fps, b.timing.fps);
 }
 
 TEST(GpuSim, LlcGeometryFollowsConfigAndScale)

@@ -199,8 +199,12 @@ TEST(Integration, OfflineAndGpuSimulatorsAgreeOnLlcStats)
               offline.stats.totalMisses());
     EXPECT_EQ(full.llcStats.totalHits(), offline.stats.totalHits());
     EXPECT_EQ(full.llcStats.writebacks, offline.stats.writebacks);
-    EXPECT_EQ(full.characterization.rtConsumptions,
-              offline.characterization.rtConsumptions);
+    for (std::size_t s = 0; s < kNumStreams; ++s) {
+        EXPECT_EQ(full.llcStats.stream[s].hits,
+                  offline.stats.stream[s].hits);
+        EXPECT_EQ(full.llcStats.stream[s].bypasses,
+                  offline.stats.stream[s].bypasses);
+    }
 }
 
 TEST(Integration, BiggerLlcHelpsEveryPolicy)

@@ -171,6 +171,53 @@ TEST(OfflineSim, DramTraceIncludesWritebacks)
     EXPECT_EQ(r.stats.writebacks, r.dramTrace.size() - 1024u);
 }
 
+TEST(OfflineSim, CharacterizeOffKeepsReplayIdentical)
+{
+    // The observer only watches: without the Characterizer the
+    // replay's stats and DRAM traffic are the same, and the
+    // characterization stays empty.
+    const FrameTrace t = syntheticTrace();
+    RunOptions options;
+    options.collectDramTrace = true;
+    const RunResult with =
+        runTrace(t, policySpec("GSPC+UCD"), tinyLlc(), options);
+    options.characterize = false;
+    const RunResult without =
+        runTrace(t, policySpec("GSPC+UCD"), tinyLlc(), options);
+    EXPECT_GT(with.characterization.rtConsumptions, 0u);
+    EXPECT_EQ(without.characterization.rtProductions, 0u);
+    EXPECT_EQ(without.characterization.rtConsumptions, 0u);
+    EXPECT_EQ(with.stats.totalMisses(), without.stats.totalMisses());
+    EXPECT_EQ(with.stats.writebacks, without.stats.writebacks);
+    ASSERT_EQ(with.dramTrace.size(), without.dramTrace.size());
+    for (std::size_t i = 0; i < with.dramTrace.size(); ++i) {
+        EXPECT_EQ(with.dramTrace[i].addr, without.dramTrace[i].addr);
+        EXPECT_EQ(with.dramTrace[i].isWrite,
+                  without.dramTrace[i].isWrite);
+    }
+}
+
+TEST(OfflineSim, DramTraceIsOneAllocation)
+{
+    // Every access adds at most two DRAM entries, so the reservation
+    // made up front is never outgrown.  (1000 accesses: growth by
+    // doubling would end at a power of two.)
+    FrameTrace t;
+    for (Addr b = 0; b < 1000; ++b)
+        t.accesses.emplace_back(b * kBlockBytes,
+                                StreamType::RenderTarget, true);
+    LlcConfig config;
+    config.capacityBytes = 16 * 1024;
+    config.ways = 4;
+    config.banks = 1;
+    RunOptions options;
+    options.collectDramTrace = true;
+    const RunResult r =
+        runTrace(t, policySpec("LRU"), config, options);
+    EXPECT_GT(r.dramTrace.size(), t.accesses.size());
+    EXPECT_EQ(r.dramTrace.capacity(), 2 * t.accesses.size());
+}
+
 TEST(OfflineSim, FillHistogramReturned)
 {
     const FrameTrace t = syntheticTrace();

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <string>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "service/result_store.hh"
 
@@ -97,4 +101,42 @@ TEST(ResultStore, LoadOfAbsentKeyIsIo)
     Result<std::string> got = store.load(ResultKey{7, 7});
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.error().code, ErrorCode::Io);
+}
+
+/**
+ * A write that fails only when the stream is flushed (the payload
+ * fits in the stream buffer) must fail the store: nothing published
+ * at path(key), no temp file left behind.  The child process writes
+ * under a 100-byte file-size limit with SIGXFSZ ignored, so the
+ * flush gets EFBIG.
+ */
+TEST(ResultStore, FailedFlushPublishesNothing)
+{
+    const std::string root = storeRoot("torn");
+    ResultStore store(root);
+    const ResultKey key{5, 6};
+    ASSERT_TRUE(std::filesystem::create_directories(root));
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        struct rlimit limit;
+        limit.rlim_cur = limit.rlim_max = 100;
+        std::signal(SIGXFSZ, SIG_IGN);
+        if (::setrlimit(RLIMIT_FSIZE, &limit) != 0)
+            std::_Exit(2);
+        const Result<Unit> stored =
+            store.store(key, std::string(4096, 'x'));
+        std::_Exit(stored.ok() ? 1 : 0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "store() reported success";
+
+    EXPECT_FALSE(std::filesystem::exists(store.path(key)));
+    for (const auto &entry : std::filesystem::directory_iterator(root))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << "left behind: " << entry.path();
 }
