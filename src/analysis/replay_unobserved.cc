@@ -10,8 +10,8 @@ replayUnobserved(BankedLlc &llc, const std::vector<MemAccess> &trace,
 {
     withPolicyClass(llc, [&](auto policy_class) {
         NullAccessObserver none;
-        replay<typename decltype(policy_class)::type>(llc, trace, count,
-                                                      none, dram);
+        replay<typename decltype(policy_class)::type>(
+            llc, trace, count, none, TraceSink(dram));
     });
 }
 

@@ -22,7 +22,7 @@
  *   cell.throw      throw out of a sweep (frame, policy) cell
  *   cell.delay      stall a sweep cell (exercises the watchdog)
  *   sim.access      throw out of the offline LLC replay loop
- *   dram.simulate   throw out of DramModel::simulate()
+ *   dram.simulate   throw out of DramModel::Schedule::finish()
  *   worker.crash    hard-exit a gllcd sweep worker mid-cell (the
  *                   daemon must respawn and quarantine, never die)
  *   conn.stall      stall a gllcd connection thread before it

@@ -14,7 +14,7 @@
  *
  * Cost model: components keep their existing plain counters on the
  * access path and flush them here once per replay (or once per
- * simulate() call), so the per-access overhead of an instrumented
+ * DRAM schedule), so the per-access overhead of an instrumented
  * run is a handful of local array increments; registry map lookups
  * happen only at flush/snapshot granularity.
  *

@@ -88,22 +88,23 @@ DramModel::Schedule::Schedule(const DramModel &model)
 }
 
 DramStats
-DramModel::simulate(const std::vector<DramRequest> &requests)
+DramModel::Schedule::finish() const
 {
-    return simulate(requests.size(), [&requests](Schedule &schedule) {
-        for (const DramRequest &req : requests)
-            schedule.service(req.addr, req.arrival, req.isWrite);
-    });
+    if (faultsActive()
+        && faultFires(FaultSite::DramSimulate, mix64(stats_.requests)))
+        throwInjectedFault(FaultSite::DramSimulate);
+    if (metrics_)
+        model_.flushMetrics(stats_, channelStats_, bankRequests_);
+    return stats_;
 }
 
-void
-DramModel::checkFault(std::uint64_t count)
+DramStats
+DramModel::simulate(const std::vector<DramRequest> &requests)
 {
-    // dram.simulate fault site: keyed on the request-stream shape,
-    // so the same batch fails at any thread count.
-    if (faultsActive()
-        && faultFires(FaultSite::DramSimulate, mix64(count)))
-        throwInjectedFault(FaultSite::DramSimulate);
+    Schedule schedule(*this);
+    for (const DramRequest &req : requests)
+        schedule.service(req.addr, req.arrival, req.isWrite);
+    return schedule.finish();
 }
 
 void

@@ -150,21 +150,10 @@ class DramModel
     explicit DramModel(const DramConfig &config);
 
     /**
-     * Service @p requests, which must be sorted by arrival time.
-     * The model is reset before servicing.
+     * Service @p requests, which must be sorted by arrival time, on
+     * a fresh Schedule.
      */
     DramStats simulate(const std::vector<DramRequest> &requests);
-
-    /**
-     * Service a request stream generated on the fly, so callers need
-     * not materialize it: @p issue is called once with the
-     * Schedule and must call Schedule::service() exactly @p count
-     * times, in non-decreasing arrival order.  Stats, metrics and the
-     * dram.simulate fault key are those of simulate() on the same
-     * requests.
-     */
-    template <typename Issue>
-    DramStats simulate(std::uint64_t count, Issue &&issue);
 
     const DramConfig &config() const { return config_; }
 
@@ -201,13 +190,10 @@ class DramModel
         return blockNumber(addr) >> rowSequenceShift_;
     }
 
-    /** Check the dram.simulate fault site for a @p count stream. */
-    static void checkFault(std::uint64_t count);
-
     /**
      * Flush aggregate and per-channel counters plus the per-channel
      * bank-request distribution into the metrics registry under
-     * "dram."; called at the end of simulate() when metricsActive().
+     * "dram."; called by Schedule::finish() when metricsActive().
      */
     void flushMetrics(
         const DramStats &stats,
@@ -227,20 +213,28 @@ class DramModel
 /**
  * The servicing state of one request stream: per-bank row buffers,
  * per-channel data bus, write-to-read turnaround and refresh
- * windows.  service() is the one per-request step every
- * DramModel::simulate() entry point runs.
+ * windows.  A caller that produces requests on the fly services
+ * each as it is produced, so the stream is never materialized;
+ * DramModel::simulate() runs the same step over a vector.
  */
 class DramModel::Schedule
 {
   public:
+    /** An empty schedule on @p model, which must outlive it. */
+    explicit Schedule(const DramModel &model);
+
     /** Service one request; arrivals must be non-decreasing. */
     void service(Addr addr, std::uint64_t arrival, bool is_write);
 
+    /**
+     * End the stream: check the dram.simulate fault site, keyed on
+     * the number of requests serviced (so the same stream fails at
+     * any thread count, however it was fed), flush the metrics when
+     * they are on, and return the stats.
+     */
+    DramStats finish() const;
+
   private:
-    friend class DramModel;
-
-    explicit Schedule(const DramModel &model);
-
     struct BankState
     {
         std::uint64_t row = ~0ull;
@@ -277,20 +271,6 @@ class DramModel::Schedule
     DramStats stats_;
     std::uint64_t lastArrival_ = 0;
 };
-
-template <typename Issue>
-DramStats
-DramModel::simulate(std::uint64_t count, Issue &&issue)
-{
-    checkFault(count);
-    Schedule schedule(*this);
-    issue(schedule);
-    GLLC_ASSERT(schedule.stats_.requests == count);
-    if (schedule.metrics_)
-        flushMetrics(schedule.stats_, schedule.channelStats_,
-                     schedule.bankRequests_);
-    return schedule.stats_;
-}
 
 inline void
 DramModel::Schedule::service(Addr addr, std::uint64_t arrival,

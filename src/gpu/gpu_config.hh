@@ -80,6 +80,12 @@ struct GpuConfig
     std::uint64_t scanoutBytes = 0;
     /// @}
 
+    /** True when the display engine's scan-out is modelled. */
+    bool scanoutEnabled() const
+    {
+        return scanoutHz > 0.0 && scanoutBytes > 0;
+    }
+
     std::uint32_t totalThreads() const
     {
         return shaderCores * threadsPerCore;

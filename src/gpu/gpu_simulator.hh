@@ -28,6 +28,9 @@ struct FrameSimResult
  * @p config.  The LLC geometry is taken from the config, scaled by
  * @p scale to match the trace.  Nothing here reads a
  * characterization, so the replay runs without the Characterizer.
+ * Without scan-out the replay streams its DRAM traffic straight into
+ * the frame timer; with scan-out it collects the traffic for
+ * timeFrame().  Both give the same result.
  */
 FrameSimResult simulateFrame(const FrameTrace &trace,
                              const PolicySpec &policy,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -736,7 +737,7 @@ renderFrame(const AppProfile &app, std::uint32_t frame_index,
     finalizeWork(ctx);
     if (inspect)
         inspect(ctx.rcc);
-    return ctx.trace;
+    return std::move(ctx.trace);
 }
 
 FrameTrace
@@ -765,7 +766,7 @@ renderAnimation(const AppProfile &app, std::uint32_t frame_count,
     finalizeWork(ctx);
     ctx.trace.name =
         app.name + "/anim" + std::to_string(frame_count);
-    return ctx.trace;
+    return std::move(ctx.trace);
 }
 
 } // namespace gllc
