@@ -14,8 +14,8 @@
 #include <cstring>
 #include <vector>
 
-#include "cache/byte_scan.hh"
 #include "cache/replacement.hh"
+#include "common/byte_scan.hh"
 
 namespace gllc
 {

@@ -16,9 +16,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/byte_scan.hh"
 #include "cache/replacement.hh"
 #include "common/audit.hh"
+#include "common/byte_scan.hh"
 
 namespace gllc
 {

@@ -54,66 +54,6 @@ RenderCacheComplex::RenderCacheComplex(const RenderCacheConfig &config)
 }
 
 void
-RenderCacheComplex::vertexIndexRead(Addr addr, std::uint32_t cycle,
-                                    std::vector<MemAccess> &out)
-{
-    vtxIndex_.access(addr, false, StreamType::Vertex, cycle, out);
-}
-
-void
-RenderCacheComplex::vertexRead(Addr addr, std::uint32_t cycle,
-                               std::vector<MemAccess> &out)
-{
-    vertex_.access(addr, false, StreamType::Vertex, cycle, out);
-}
-
-void
-RenderCacheComplex::hizAccess(Addr addr, bool is_write,
-                              std::uint32_t cycle,
-                              std::vector<MemAccess> &out)
-{
-    hiz_.access(addr, is_write, StreamType::HiZ, cycle, out);
-}
-
-void
-RenderCacheComplex::zAccess(Addr addr, bool is_write, std::uint32_t cycle,
-                            std::vector<MemAccess> &out)
-{
-    z_.access(addr, is_write, StreamType::Z, cycle, out);
-}
-
-void
-RenderCacheComplex::stencilAccess(Addr addr, bool is_write,
-                                  std::uint32_t cycle,
-                                  std::vector<MemAccess> &out)
-{
-    stencil_.access(addr, is_write, StreamType::Stencil, cycle, out);
-}
-
-void
-RenderCacheComplex::colorAccess(Addr addr, bool is_write,
-                                StreamType stream, std::uint32_t cycle,
-                                std::vector<MemAccess> &out)
-{
-    rt_.access(addr, is_write, stream, cycle, out);
-}
-
-void
-RenderCacheComplex::textureRead(Addr addr, std::uint32_t sampler,
-                                std::uint32_t cycle,
-                                std::vector<MemAccess> &out)
-{
-    tex_.read(addr, sampler, cycle, out);
-}
-
-void
-RenderCacheComplex::otherRead(Addr addr, std::uint32_t cycle,
-                              std::vector<MemAccess> &out)
-{
-    out.emplace_back(blockAlign(addr), StreamType::Other, false, cycle);
-}
-
-void
 RenderCacheComplex::passBoundary(std::uint32_t cycle,
                                  std::vector<MemAccess> &out)
 {
@@ -132,42 +72,6 @@ RenderCacheComplex::frameBoundary(std::uint32_t cycle,
     vtxIndex_.flush(cycle, sink);
     vertex_.flush(cycle, sink);
     tex_.invalidate();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::vtxIndexStats() const
-{
-    return vtxIndex_.stats();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::vertexStats() const
-{
-    return vertex_.stats();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::hizStats() const
-{
-    return hiz_.stats();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::zStats() const
-{
-    return z_.stats();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::stencilStats() const
-{
-    return stencil_.stats();
-}
-
-const SmallCacheStats &
-RenderCacheComplex::rtStats() const
-{
-    return rt_.stats();
 }
 
 std::vector<const SmallCache *>

@@ -55,34 +55,69 @@ class RenderCacheComplex
     explicit RenderCacheComplex(const RenderCacheConfig &config);
 
     /// @name Pipeline-stage access entry points
-    /// Each appends any generated LLC traffic to @p out.
+    /// Each appends any generated LLC traffic to @p out.  They are
+    /// inline so each cache's MRU check lands in the render loop.
     /// @{
-    void vertexIndexRead(Addr addr, std::uint32_t cycle,
-                         std::vector<MemAccess> &out);
-    void vertexRead(Addr addr, std::uint32_t cycle,
-                    std::vector<MemAccess> &out);
-    void hizAccess(Addr addr, bool is_write, std::uint32_t cycle,
-                   std::vector<MemAccess> &out);
-    void zAccess(Addr addr, bool is_write, std::uint32_t cycle,
-                 std::vector<MemAccess> &out);
-    void stencilAccess(Addr addr, bool is_write, std::uint32_t cycle,
-                       std::vector<MemAccess> &out);
+    void
+    vertexIndexRead(Addr addr, std::uint32_t cycle,
+                    std::vector<MemAccess> &out)
+    {
+        vtxIndex_.access(addr, false, StreamType::Vertex, cycle, out);
+    }
+
+    void
+    vertexRead(Addr addr, std::uint32_t cycle, std::vector<MemAccess> &out)
+    {
+        vertex_.access(addr, false, StreamType::Vertex, cycle, out);
+    }
+
+    void
+    hizAccess(Addr addr, bool is_write, std::uint32_t cycle,
+              std::vector<MemAccess> &out)
+    {
+        hiz_.access(addr, is_write, StreamType::HiZ, cycle, out);
+    }
+
+    void
+    zAccess(Addr addr, bool is_write, std::uint32_t cycle,
+            std::vector<MemAccess> &out)
+    {
+        z_.access(addr, is_write, StreamType::Z, cycle, out);
+    }
+
+    void
+    stencilAccess(Addr addr, bool is_write, std::uint32_t cycle,
+                  std::vector<MemAccess> &out)
+    {
+        stencil_.access(addr, is_write, StreamType::Stencil, cycle, out);
+    }
 
     /**
      * Color-buffer access through the RT cache.  @p stream selects
      * RenderTarget for ordinary render targets and Display for the
      * final back-buffer resolve.
      */
-    void colorAccess(Addr addr, bool is_write, StreamType stream,
-                     std::uint32_t cycle, std::vector<MemAccess> &out);
+    void
+    colorAccess(Addr addr, bool is_write, StreamType stream,
+                std::uint32_t cycle, std::vector<MemAccess> &out)
+    {
+        rt_.access(addr, is_write, stream, cycle, out);
+    }
 
     /** Texture read through the sampler hierarchy. */
-    void textureRead(Addr addr, std::uint32_t sampler,
-                     std::uint32_t cycle, std::vector<MemAccess> &out);
+    void
+    textureRead(Addr addr, std::uint32_t sampler, std::uint32_t cycle,
+                std::vector<MemAccess> &out)
+    {
+        tex_.read(addr, sampler, cycle, out);
+    }
 
     /** Uncached access (shader code, constants): straight to LLC. */
-    void otherRead(Addr addr, std::uint32_t cycle,
-                   std::vector<MemAccess> &out);
+    void
+    otherRead(Addr addr, std::uint32_t cycle, std::vector<MemAccess> &out)
+    {
+        out.emplace_back(blockAlign(addr), StreamType::Other, false, cycle);
+    }
     /// @}
 
     /**
@@ -97,12 +132,15 @@ class RenderCacheComplex
 
     /// @name Statistics
     /// @{
-    const SmallCacheStats &vtxIndexStats() const;
-    const SmallCacheStats &vertexStats() const;
-    const SmallCacheStats &hizStats() const;
-    const SmallCacheStats &zStats() const;
-    const SmallCacheStats &stencilStats() const;
-    const SmallCacheStats &rtStats() const;
+    const SmallCacheStats &vtxIndexStats() const
+    {
+        return vtxIndex_.stats();
+    }
+    const SmallCacheStats &vertexStats() const { return vertex_.stats(); }
+    const SmallCacheStats &hizStats() const { return hiz_.stats(); }
+    const SmallCacheStats &zStats() const { return z_.stats(); }
+    const SmallCacheStats &stencilStats() const { return stencil_.stats(); }
+    const SmallCacheStats &rtStats() const { return rt_.stats(); }
     const TextureHierarchy &texture() const { return tex_; }
 
     /** Every cache in the complex, texture levels last, in a fixed order. */

@@ -1,8 +1,6 @@
 #include "rcache/small_cache.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -11,6 +9,12 @@ namespace gllc
 
 namespace
 {
+
+/**
+ * Age byte of an invalid way or padding lane: above every age in a
+ * set that is not full.
+ */
+constexpr std::uint8_t kInvalidAge = 0xff;
 
 std::uint32_t
 floorPow2(std::uint32_t x)
@@ -32,57 +36,46 @@ SmallCache::SmallCache(std::string name, std::uint32_t blocks,
     ways_ = std::min(ways, blocks);
     sets_ = blocks / floorPow2(ways_);
     ways_ = blocks / sets_;
-    GLLC_ASSERT_MSG(ways_ <= 256, "%s: %u ways do not fit Meta::way",
+    GLLC_ASSERT_MSG(ways_ <= 256, "%s: %u ways do not fit an age byte",
                     name_.c_str(), ways_);
-    tags_.assign(static_cast<std::size_t>(sets_) * ways_, 0);
-    meta_.assign(tags_.size(), Meta{});
-    live_.assign(sets_, 0);
+    stride_ = (ways_ + 15) & ~15u;
+    const std::size_t slots = std::size_t{sets_} * stride_;
+    tags_.assign(slots, kNoTag);
+    lowTags_.assign(slots, static_cast<std::uint32_t>(kNoTag));
+    ages_.assign(slots, kInvalidAge);
+    meta_.assign(slots, Meta{});
+    setState_.assign(sets_, Set{0, 0});
 }
 
-bool
-SmallCache::access(Addr addr, bool is_write, StreamType stream,
-                   std::uint32_t cycle, std::vector<MemAccess> &out)
+void
+SmallCache::allocate(Addr tag, std::size_t set, bool is_write,
+                     StreamType stream, std::uint32_t cycle,
+                     std::vector<MemAccess> &out)
 {
-    ++stats_.accesses;
-    const Addr tag = blockNumber(addr);
-    const std::size_t set = static_cast<std::size_t>(tag & (sets_ - 1));
-    Addr *tags = &tags_[set * ways_];
-    Meta *meta = &meta_[set * ways_];
-    const std::uint32_t live = live_[set];
-
-    for (std::uint32_t i = 0; i < live; ++i) {
-        if (tags[i] == tag) {
-            // Hit: move to the front, sliding [0, i) down one.
-            ++stats_.hits;
-            Meta m = meta[i];
-            m.dirty = m.dirty || is_write;
-            std::memmove(tags + 1, tags, i * sizeof(Addr));
-            std::memmove(meta + 1, meta, i * sizeof(Meta));
-            tags[0] = tag;
-            meta[0] = m;
-            return true;
-        }
-    }
-
-    // Miss.  Read-only caches forward writes without allocating.
+    // Read-only caches forward writes without allocating.
+    const Addr block = tag << kBlockShift;
     if (is_write && !writeAllocate_) {
-        out.emplace_back(blockAlign(addr), stream, true, cycle);
-        return false;
+        out.emplace_back(block, stream, true, cycle);
+        return;
     }
+
+    const std::size_t row = set * stride_;
+    Addr *tags = &tags_[row];
+    std::uint8_t *ages = &ages_[row];
+    Meta *meta = &meta_[row];
+    Set &state = setState_[set];
 
     // Victim: the lowest invalid way while the set fills, else the
-    // LRU block at the tail, whose physical way the new block takes.
-    std::uint32_t shift = live;
-    std::uint8_t way = static_cast<std::uint8_t>(live);
-    if (live < ways_) {
-        ++live_[set];
+    // LRU way.
+    std::uint32_t way = state.live;
+    if (way < ways_) {
+        ++state.live;
     } else {
-        shift = ways_ - 1;
-        const Meta &victim = meta[shift];
-        way = victim.way;
-        if (victim.dirty) {
+        way = firstByteEqual(ages, stride_,
+                             static_cast<std::uint8_t>(ways_ - 1));
+        if (meta[way].dirty) {
             ++stats_.writebacks;
-            out.emplace_back(tags[shift] << kBlockShift, victim.stream,
+            out.emplace_back(tags[way] << kBlockShift, meta[way].stream,
                              true, cycle);
         }
     }
@@ -92,40 +85,37 @@ SmallCache::access(Addr addr, bool is_write, StreamType stream,
     // whole, so nothing is fetched and the LLC sees the data only
     // when the dirty block is written back.
     if (!is_write)
-        out.emplace_back(blockAlign(addr), stream, false, cycle);
+        out.emplace_back(block, stream, false, cycle);
 
-    std::memmove(tags + 1, tags, shift * sizeof(Addr));
-    std::memmove(meta + 1, meta, shift * sizeof(Meta));
-    tags[0] = tag;
-    meta[0] = Meta{way, stream, is_write};
-    return false;
+    incrementBytesBelow(ages, stride_, ages[way]);
+    ages[way] = 0;
+    tags[way] = tag;
+    lowTags_[row + way] = static_cast<std::uint32_t>(tag);
+    meta[way] = Meta{stream, is_write};
+    state.mru = static_cast<std::uint8_t>(way);
 }
 
 void
 SmallCache::flush(std::uint32_t cycle, std::vector<MemAccess> &out)
 {
-    // Drain in physical order (set-major, way-minor): walk each set's
-    // ways through the inverse of its recency permutation.
+    // Drain in physical order (set-major, way-minor).
     std::uint32_t drained = 0;
-    std::array<std::uint8_t, 256> position{};
     for (std::size_t set = 0; set < sets_; ++set) {
-        const std::uint32_t live = live_[set];
-        const Addr *tags = &tags_[set * ways_];
-        const Meta *meta = &meta_[set * ways_];
-        for (std::uint32_t i = 0; i < live; ++i)
-            position[meta[i].way] = static_cast<std::uint8_t>(i);
-        for (std::uint32_t w = 0; w < live; ++w) {
-            const std::uint32_t i = position[w];
-            if (meta[i].dirty) {
+        const std::size_t row = set * stride_;
+        for (std::size_t w = row; w < row + setState_[set].live; ++w) {
+            if (meta_[w].dirty) {
                 ++stats_.writebacks;
                 // Flushes drain at a finite rate; spreading the
                 // stamps keeps the DRAM arrival process realistic.
-                out.emplace_back(tags[i] << kBlockShift, meta[i].stream,
+                out.emplace_back(tags_[w] << kBlockShift, meta_[w].stream,
                                  true, cycle + drained / 2);
                 ++drained;
             }
+            tags_[w] = kNoTag;
+            lowTags_[w] = static_cast<std::uint32_t>(kNoTag);
+            ages_[w] = kInvalidAge;
         }
-        live_[set] = 0;
+        setState_[set].live = 0;
     }
 }
 

@@ -13,9 +13,9 @@
 #define GLLC_RCACHE_TEXTURE_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "rcache/small_cache.hh"
 
 namespace gllc
@@ -45,15 +45,33 @@ class TextureHierarchy
      * Appends the LLC-bound access to @p out when all levels miss.
      * @return the level that hit (1..3), or 4 for an LLC-bound miss.
      */
-    int read(Addr addr, std::uint32_t sampler, std::uint32_t cycle,
-             std::vector<MemAccess> &out);
+    int
+    read(Addr addr, std::uint32_t sampler, std::uint32_t cycle,
+         std::vector<MemAccess> &out)
+    {
+        GLLC_ASSERT(sampler < l1_.size());
+        // Fills between levels stay inside the hierarchy.
+        scratch_.clear();
+        if (l1_[sampler].access(addr, false, StreamType::Texture, cycle,
+                                scratch_))
+            return 1;
+        if (l2_[clusterOf_[sampler]].access(addr, false,
+                                            StreamType::Texture, cycle,
+                                            scratch_))
+            return 2;
+        if (l3_.access(addr, false, StreamType::Texture, cycle, scratch_))
+            return 3;
+        out.emplace_back(blockAlign(addr), StreamType::Texture, false,
+                         cycle);
+        return 4;
+    }
 
     /** Invalidate all levels (frame boundary). */
     void invalidate();
 
     const SmallCacheStats &l1Stats(std::uint32_t sampler) const;
     const SmallCacheStats &l2Stats(std::uint32_t cluster) const;
-    const SmallCacheStats &l3Stats() const { return l3_->stats(); }
+    const SmallCacheStats &l3Stats() const { return l3_.stats(); }
     std::uint32_t samplers() const { return config_.samplers; }
 
     /** Every level's caches: L1 by sampler, L2 by cluster, then L3. */
@@ -61,9 +79,10 @@ class TextureHierarchy
 
   private:
     TextureHierarchyConfig config_;
-    std::vector<std::unique_ptr<SmallCache>> l1_;
-    std::vector<std::unique_ptr<SmallCache>> l2_;
-    std::unique_ptr<SmallCache> l3_;
+    std::vector<SmallCache> l1_;               ///< by sampler
+    std::vector<SmallCache> l2_;               ///< by cluster
+    SmallCache l3_;
+    std::vector<std::uint32_t> clusterOf_;     ///< by sampler
     /** Scratch vector: L1/L2 misses are consumed internally. */
     std::vector<MemAccess> scratch_;
 };

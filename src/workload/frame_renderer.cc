@@ -97,6 +97,16 @@ class FrameContext
     /** Translate a virtual surface address and emit through @p fn. */
     Addr phys(Addr vaddr) const { return mem.translate(vaddr); }
 
+    /** Next sampler of a round robin kept in @p counter. */
+    std::uint32_t
+    nextSampler(std::uint32_t &counter) const
+    {
+        const std::uint32_t sampler = counter;
+        if (++counter == rcc.texture().samplers())
+            counter = 0;
+        return sampler;
+    }
+
   private:
     void allocateSurfaces();
 };
@@ -246,7 +256,8 @@ class GeometryPass
     std::uint64_t vertexCursor = 0;
     std::uint64_t indexCursor = 0;
     std::uint32_t samplerRR = 0;   ///< round-robin sampler assignment
-    std::uint32_t dynamicRR = 0;   ///< dynamic input bound this draw
+    std::uint32_t dynamicRR = 0;   ///< round-robin dynamic input
+    const Surface *dynamicInput = nullptr;  ///< bound this draw
     std::uint32_t clusterTx0 = 0;  ///< draw cluster origin (tiles)
     std::uint32_t clusterTy0 = 0;
     bool tessellated = false;      ///< current draw uses DX11 stages
@@ -362,6 +373,9 @@ GeometryPass::drawCall(std::uint32_t draw_index,
         tris *= 2;
 
     ++dynamicRR;
+    if (!p.dynamicInputs.empty())
+        dynamicInput =
+            p.dynamicInputs[dynamicRR % p.dynamicInputs.size()];
 
     // Draw-order-correlated depth: frontToBack -> later draws sit
     // behind earlier ones and die in early-Z.
@@ -549,10 +563,10 @@ GeometryPass::shadeTile(std::uint32_t tx, std::uint32_t ty,
             + layer * 17;
         const std::uint32_t dv = static_cast<std::uint32_t>(
             rel_ty * 4 * texel_ratio);
-        const std::uint32_t u = (anchor_u + du) % texture.width();
-        const std::uint32_t v = (anchor_v + dv) % texture.height();
-        const std::uint32_t sampler =
-            samplerRR++ % ctx.rcc.texture().samplers();
+        const std::uint32_t u = wrapCoord(anchor_u + du, texture.width());
+        const std::uint32_t v =
+            wrapCoord(anchor_v + dv, texture.height());
+        const std::uint32_t sampler = ctx.nextSampler(samplerRR);
         ctx.rcc.textureRead(ctx.phys(texture.tileAddress(u, v)),
                             sampler, ctx.cycle(), out);
         // Bilinear footprints spill into the neighbour block at tile
@@ -574,7 +588,8 @@ GeometryPass::shadeTile(std::uint32_t tx, std::uint32_t ty,
         if (tessellated && layer == 0) {
             ctx.rcc.textureRead(
                 ctx.phys(texture.tileAddress(
-                    (u + texture.width() / 2) % texture.width(), v)),
+                    wrapCoord(u + texture.width() / 2, texture.width()),
+                    v)),
                 sampler, ctx.cycle(), out);
             ctx.trace.work.texelRequests += pixels;
         }
@@ -584,9 +599,7 @@ GeometryPass::shadeTile(std::uint32_t tx, std::uint32_t ty,
     // Dynamic input (shadow/environment map): each draw samples one
     // of the offscreen targets, at the screen-projected position
     // inside the consumed sub-window.
-    if (!p.dynamicInputs.empty()) {
-        Surface *dyn = p.dynamicInputs[dynamicRR % p.dynamicInputs
-                                                       .size()];
+    if (const Surface *dyn = dynamicInput) {
         const double fx = static_cast<double>(tx) / tilesX;
         const double fy = static_cast<double>(ty) / tilesY;
         const double sub = std::sqrt(p.consumeFraction);
@@ -594,8 +607,7 @@ GeometryPass::shadeTile(std::uint32_t tx, std::uint32_t ty,
             fx * sub * dyn->width());
         const std::uint32_t v = static_cast<std::uint32_t>(
             fy * sub * dyn->height());
-        const std::uint32_t sampler =
-            samplerRR++ % ctx.rcc.texture().samplers();
+        const std::uint32_t sampler = ctx.nextSampler(samplerRR);
         ctx.rcc.textureRead(ctx.phys(dyn->tileAddress(u, v)), sampler,
                             ctx.cycle(), out);
         ctx.trace.work.texelRequests += pixels;
@@ -641,7 +653,7 @@ fullScreenPass(FrameContext &ctx, Surface &input, Surface &output,
             const std::uint32_t u = std::min(tx * 4, input.width() - 1);
             const std::uint32_t v = std::min(ty * 4, input.height() - 1);
             ctx.rcc.textureRead(ctx.phys(input.tileAddress(u, v)),
-                                sampler++ % ctx.rcc.texture().samplers(),
+                                ctx.nextSampler(sampler),
                                 ctx.cycle(), out);
             ctx.rcc.colorAccess(
                 ctx.phys(output.tileAddress(tx * 4, ty * 4)), true,

@@ -66,15 +66,4 @@ GpuMemory::allocate(std::uint64_t bytes, const std::string &label)
     return vbase;
 }
 
-Addr
-GpuMemory::translate(Addr vaddr) const
-{
-    const std::uint64_t vpage = vaddr >> kPageShift;
-    GLLC_ASSERT_MSG(vpage < pageTable_.size(),
-                    "unmapped virtual address %llx",
-                    static_cast<unsigned long long>(vaddr));
-    return (pageTable_[vpage] << kPageShift)
-        | (vaddr & (kPageBytes - 1));
-}
-
 } // namespace gllc

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -46,7 +47,16 @@ class GpuMemory
     Addr allocate(std::uint64_t bytes, const std::string &label);
 
     /** Translate a virtual address to its physical address. */
-    Addr translate(Addr vaddr) const;
+    Addr
+    translate(Addr vaddr) const
+    {
+        const std::uint64_t vpage = vaddr >> kPageShift;
+        GLLC_ASSERT_MSG(vpage < pageTable_.size(),
+                        "unmapped virtual address %llx",
+                        static_cast<unsigned long long>(vaddr));
+        return (pageTable_[vpage] << kPageShift)
+            | (vaddr & (kPageBytes - 1));
+    }
 
     /** Total bytes allocated so far. */
     std::uint64_t allocatedBytes() const { return nextPage_ * kPageBytes; }

@@ -1,7 +1,5 @@
 #include "workload/surfaces.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace gllc
@@ -10,15 +8,15 @@ namespace gllc
 namespace
 {
 
-/** Tile edge in elements for a given element size (64 B tiles). */
+/** log2 of the tile edge for an element size (64 B tiles). */
 std::uint32_t
-tileEdgeFor(std::uint32_t bytes_per_element)
+tileShiftFor(std::uint32_t bytes_per_element)
 {
     switch (bytes_per_element) {
       case 1:
-        return 8;   // 8x8 x 1 B
+        return 3;   // 8x8 x 1 B
       case 4:
-        return 4;   // 4x4 x 4 B
+        return 2;   // 4x4 x 4 B
       default:
         GLLC_ASSERT_MSG(false, "unsupported element size %u",
                         bytes_per_element);
@@ -39,10 +37,10 @@ Surface::make2D(GpuMemory &mem, SurfaceKind kind, const std::string &name,
     s.name_ = name;
     s.width_ = width;
     s.height_ = height;
-    s.tileEdge_ = tileEdgeFor(bytes_per_element);
-    s.tilesPerRow_ = (width + s.tileEdge_ - 1) / s.tileEdge_;
-    const std::uint32_t tile_rows =
-        (height + s.tileEdge_ - 1) / s.tileEdge_;
+    s.tileShift_ = tileShiftFor(bytes_per_element);
+    const std::uint32_t edge = s.tileEdge();
+    s.tilesPerRow_ = (width + edge - 1) / edge;
+    const std::uint32_t tile_rows = (height + edge - 1) / edge;
     s.bytes_ = static_cast<std::uint64_t>(s.tilesPerRow_) * tile_rows
         * kBlockBytes;
     s.base_ = mem.allocate(s.bytes_, name);
@@ -61,18 +59,6 @@ Surface::makeLinear(GpuMemory &mem, SurfaceKind kind,
     s.width_ = static_cast<std::uint32_t>(s.bytes_);
     s.height_ = 1;
     return s;
-}
-
-Addr
-Surface::tileAddress(std::uint32_t x, std::uint32_t y) const
-{
-    x = std::min(x, width_ - 1);
-    y = std::min(y, height_ - 1);
-    const std::uint32_t tx = x / tileEdge_;
-    const std::uint32_t ty = y / tileEdge_;
-    return base_
-        + (static_cast<std::uint64_t>(ty) * tilesPerRow_ + tx)
-            * kBlockBytes;
 }
 
 } // namespace gllc

@@ -14,6 +14,7 @@
 #ifndef GLLC_WORKLOAD_SURFACES_HH
 #define GLLC_WORKLOAD_SURFACES_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -36,6 +37,16 @@ enum class SurfaceKind : std::uint8_t
     StencilBuffer,
     Constants,
 };
+
+/**
+ * @p v modulo @p extent: a mask when the extent is a power of two
+ * (every static texture's is), else a division.
+ */
+inline std::uint32_t
+wrapCoord(std::uint32_t v, std::uint32_t extent)
+{
+    return (extent & (extent - 1)) == 0 ? v & (extent - 1) : v % extent;
+}
 
 /** A 2D (or linear) surface bound into GPU memory. */
 class Surface
@@ -66,7 +77,15 @@ class Surface
      * Coordinates are clamped to the surface, so callers can walk
      * slightly past an edge without branching.
      */
-    Addr tileAddress(std::uint32_t x, std::uint32_t y) const;
+    Addr
+    tileAddress(std::uint32_t x, std::uint32_t y) const
+    {
+        const std::uint32_t tx = std::min(x, width_ - 1) >> tileShift_;
+        const std::uint32_t ty = std::min(y, height_ - 1) >> tileShift_;
+        return base_
+            + (static_cast<std::uint64_t>(ty) * tilesPerRow_ + tx)
+                * kBlockBytes;
+    }
 
     /** Virtual address of byte @p offset in a linear buffer. */
     Addr
@@ -79,7 +98,7 @@ class Surface
     std::uint64_t blockCount() const { return bytes_ / kBlockBytes; }
 
     /** Elements per tile edge (4 for 4 B elements, 8 for 1 B). */
-    std::uint32_t tileEdge() const { return tileEdge_; }
+    std::uint32_t tileEdge() const { return 1u << tileShift_; }
 
   private:
     SurfaceKind kind_ = SurfaceKind::Constants;
@@ -88,7 +107,7 @@ class Surface
     std::uint64_t bytes_ = 0;
     std::uint32_t width_ = 0;
     std::uint32_t height_ = 0;
-    std::uint32_t tileEdge_ = 4;
+    std::uint32_t tileShift_ = 2;  ///< log2 of the tile edge
     std::uint32_t tilesPerRow_ = 0;
 };
 

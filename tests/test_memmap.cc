@@ -123,6 +123,23 @@ TEST(GpuMemoryDeath, TranslateUnmappedIsFatal)
 #endif
 }
 
+TEST(GpuMemoryDeath, TranslatePastTheLastMappedPageIsFatal)
+{
+#ifdef GLLC_DISABLE_ASSERTS
+    GTEST_SKIP() << "GLLC_ASSERT compiled out (-DGLLC_ASSERTS=OFF)";
+#else
+    // translate() is inline in every caller; the page-table bound
+    // still holds at the first byte past the mapping, and with no
+    // mapping at all.
+    GpuMemory mem(1);
+    const Addr base = mem.allocate(2 * kPageBytes, "two");
+    EXPECT_NE(mem.translate(base + 2 * kPageBytes - 1), 0u);
+    EXPECT_DEATH(mem.translate(base + 2 * kPageBytes), "unmapped");
+    GpuMemory empty(1);
+    EXPECT_DEATH(empty.translate(0), "unmapped");
+#endif
+}
+
 TEST(GpuMemoryDeath, ZeroByteAllocationIsFatal)
 {
 #ifdef GLLC_DISABLE_ASSERTS

@@ -138,6 +138,58 @@ sameAccess(const MemAccess &a, const MemAccess &b)
         && a.isWrite == b.isWrite && a.cycle == b.cycle;
 }
 
+/** A SmallCache and its reference model, driven in lockstep. */
+class Lockstep
+{
+  public:
+    Lockstep(std::uint32_t blocks, std::uint32_t ways,
+             bool write_allocate = true)
+        : cache("t", blocks, ways, write_allocate),
+          ref(cache.sets(), cache.ways(), write_allocate)
+    {
+    }
+
+    /** Both sides' hit/miss verdict on one access; they must agree. */
+    ::testing::AssertionResult
+    access(Addr addr, bool is_write,
+           StreamType stream = StreamType::RenderTarget,
+           std::uint32_t cycle = 0)
+    {
+        const bool hit = cache.access(addr, is_write, stream, cycle, got);
+        if (hit != ref.access(addr, is_write, stream, cycle, want))
+            return ::testing::AssertionFailure()
+                << "block " << blockNumber(addr) << ": SmallCache says "
+                << (hit ? "hit" : "miss");
+        return ::testing::AssertionSuccess() << (hit ? "hit" : "miss");
+    }
+
+    void
+    flush(std::uint32_t cycle)
+    {
+        cache.flush(cycle, got);
+        ref.flush(cycle, want);
+    }
+
+    /** Flush both and compare every emitted access and statistic. */
+    void
+    expectSameTraffic()
+    {
+        flush(7);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k)
+            ASSERT_TRUE(sameAccess(got[k], want[k]))
+                << "emitted access " << k;
+        EXPECT_EQ(cache.stats().accesses, ref.stats().accesses);
+        EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+        EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks);
+    }
+
+    SmallCache cache;
+    ReferenceCache ref;
+    std::vector<MemAccess> got;
+    std::vector<MemAccess> want;
+};
+
 } // namespace
 
 TEST(SmallCache, HitAfterFill)
@@ -264,6 +316,119 @@ TEST(SmallCache, NonPow2BlocksRoundedDown)
 {
     SmallCache c("t", 24, 24);
     EXPECT_EQ(c.sets() * c.ways(), 16u);
+}
+
+TEST(SmallCache, RepeatedMruHitsMatchReference)
+{
+    // Runs of hits on the MRU way (reads and writes, which dirty it
+    // without aging anything), broken by a hit deeper in the set or a
+    // fill, then more MRU hits.
+    Lockstep s(64, 16);  // 4 sets
+    for (Addr round = 0; round < 40; ++round) {
+        const Addr b = block((round * 5) % 24);
+        for (int i = 0; i < 6; ++i)
+            ASSERT_TRUE(s.access(b, i % 3 == 1)) << "round " << round;
+        ASSERT_TRUE(s.access(block(round % 7), false));
+        ASSERT_TRUE(s.access(block(round % 7), true));
+    }
+    s.expectSameTraffic();
+    EXPECT_GT(s.cache.stats().hits, 200u);
+}
+
+TEST(SmallCache, StaleMruWayMissesAfterFlush)
+{
+    SmallCache c("t", 8, 4);  // 2 sets
+    std::vector<MemAccess> out;
+    c.access(block(2), true, StreamType::Z, 0, out);
+    EXPECT_TRUE(c.access(block(2), false, StreamType::Z, 0, out));
+    c.flush(10, out);
+    ASSERT_EQ(out.size(), 1u);  // the dirty block, written back once
+    out.clear();
+    // Block 2 still names its old way as the set's MRU way; after the
+    // flush it must miss, fetch, and come back clean.
+    EXPECT_FALSE(c.access(block(2), false, StreamType::Z, 20, out));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_FALSE(out[0].isWrite);
+    EXPECT_EQ(out[0].cycle, 20u);
+    out.clear();
+    EXPECT_TRUE(c.access(block(2), false, StreamType::Z, 0, out));
+    c.flush(30, out);
+    EXPECT_TRUE(out.empty());
+
+    // The same against the reference, with the stale MRU way's block
+    // and its set-mates hit straight after each flush.
+    Lockstep s(16, 4);
+    for (Addr round = 0; round < 20; ++round) {
+        for (Addr i = 0; i < 6; ++i)
+            ASSERT_TRUE(s.access(block(i * 4), (i + round) % 2 == 0));
+        ASSERT_TRUE(s.access(block(round % 6 * 4), true));
+        s.flush(static_cast<std::uint32_t>(100 * round));
+        ASSERT_TRUE(s.access(block(round % 6 * 4), false));
+        ASSERT_TRUE(s.access(block(round % 6 * 4), true));
+        ASSERT_TRUE(s.access(block((round + 1) % 6 * 4), false));
+    }
+    s.expectSameTraffic();
+}
+
+TEST(SmallCache, TwoHundredFiftySixWaysMatchReference)
+{
+    // The widest geometry the constructor accepts: the LRU way of a
+    // full set is aged 255, the value that marks invalid ways in a
+    // set that is not full.
+    for (std::uint32_t blocks : {256u, 512u}) {
+        Lockstep s(blocks, 256);
+        ASSERT_EQ(s.cache.ways(), 256u);
+        std::mt19937_64 rng(blocks);
+        // Fill partly, touch the oldest, fill past capacity, flush,
+        // refill: ages cross 254/255 in both states.
+        for (int phase = 0; phase < 3; ++phase) {
+            for (Addr i = 0; i < 300; ++i)
+                ASSERT_TRUE(s.access(block(i * (blocks / 256)),
+                                     (i & 3) == 0));
+            for (int i = 0; i < 3000; ++i) {
+                const Addr b = rng() % (blocks * 3 / 2);
+                ASSERT_TRUE(s.access(block(b), (rng() & 1) != 0))
+                    << "phase " << phase << " access " << i;
+            }
+            s.flush(static_cast<std::uint32_t>(phase));
+            for (Addr i = 0; i < 200; ++i)
+                ASSERT_TRUE(s.access(block(i), false));
+        }
+        s.expectSameTraffic();
+        EXPECT_GT(s.cache.stats().writebacks, 0u);
+    }
+}
+
+TEST(SmallCache, LowTagAliasesAreToldApart)
+{
+    // Block numbers that share their low 32 bits land in one set and
+    // all match in the vector probe; only the full tag tells them
+    // apart, on misses and on hits below the MRU way alike.
+    const Addr alias = Addr{1} << 32;
+    Lockstep s(64, 16);  // 4 sets
+    for (Addr round = 0; round < 40; ++round) {
+        const Addr base = (round % 5) * 4;  // 5 groups of 5: > 16 ways
+        for (Addr k = 0; k < 5; ++k)
+            ASSERT_TRUE(s.access(block(base + k * alias),
+                                 (k + round) % 3 == 0))
+                << "round " << round << " alias " << k;
+        for (Addr k = 5; k-- > 0;)
+            ASSERT_TRUE(s.access(block(base + k * alias), false))
+                << "round " << round << " alias " << k;
+    }
+    s.expectSameTraffic();
+    EXPECT_GT(s.cache.stats().hits, 0u);
+    EXPECT_GT(s.cache.stats().misses(), 0u);
+    EXPECT_GT(s.cache.stats().writebacks, 0u);
+}
+
+TEST(SmallCacheDeath, MoreThan256WaysIsFatal)
+{
+#ifdef GLLC_DISABLE_ASSERTS
+    GTEST_SKIP() << "GLLC_ASSERT compiled out (-DGLLC_ASSERTS=OFF)";
+#else
+    EXPECT_DEATH(SmallCache("wide", 512, 512), "age byte");
+#endif
 }
 
 TEST(SmallCache, MatchesStampLruReferenceOnEveryScaledGeometry)

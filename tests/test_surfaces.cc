@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 
 #include "workload/surfaces.hh"
@@ -108,4 +110,68 @@ TEST(Surface, KindAndNamePreserved)
     EXPECT_EQ(s.name(), "depth0");
     EXPECT_EQ(s.width(), 16u);
     EXPECT_EQ(s.height(), 16u);
+}
+
+TEST(Surface, TileAddressMatchesDivisionForm)
+{
+    // The shift form against the plain division, for both element
+    // sizes, power-of-two and other extents, every coordinate up to
+    // and past both edges, and far past them.
+    constexpr std::uint32_t kFar = std::numeric_limits<std::uint32_t>::max();
+    GpuMemory mem(3);
+    for (std::uint32_t bytes : {1u, 4u}) {
+        const std::uint32_t edge = bytes == 1 ? 8 : 4;
+        for (std::uint32_t w : {1u, 3u, 4u, 5u, 8u, 9u, 31u, 64u, 100u}) {
+            for (std::uint32_t h : {1u, 7u, 8u, 17u, 64u}) {
+                const Surface s = Surface::make2D(
+                    mem, SurfaceKind::RenderTarget, "t", w, h, bytes);
+                const std::uint32_t tiles_per_row = (w + edge - 1) / edge;
+                const auto division = [&](std::uint32_t x,
+                                          std::uint32_t y) {
+                    const std::uint32_t tx = std::min(x, w - 1) / edge;
+                    const std::uint32_t ty = std::min(y, h - 1) / edge;
+                    return s.base()
+                        + (Addr{ty} * tiles_per_row + tx) * kBlockBytes;
+                };
+                std::vector<std::uint32_t> xs, ys;
+                for (std::uint32_t x = 0; x <= w + 2 * edge; ++x)
+                    xs.push_back(x);
+                for (std::uint32_t y = 0; y <= h + 2 * edge; ++y)
+                    ys.push_back(y);
+                xs.insert(xs.end(), {1000u, kFar - 1, kFar});
+                ys.insert(ys.end(), {1000u, kFar - 1, kFar});
+                for (std::uint32_t y : ys) {
+                    for (std::uint32_t x : xs) {
+                        ASSERT_EQ(s.tileAddress(x, y), division(x, y))
+                            << bytes << " B, " << w << "x" << h << " at ("
+                            << x << ", " << y << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Surface, WrapCoordMatchesModulo)
+{
+    constexpr std::uint32_t kFar = std::numeric_limits<std::uint32_t>::max();
+    for (std::uint32_t extent :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 12u, 32u, 64u, 96u, 100u, 128u,
+          1000u, 1024u, 2048u, 1u << 31, 3u << 30, kFar}) {
+        std::vector<std::uint32_t> values;
+        for (std::uint32_t v = 0; v < 3 * 1024 + 5; ++v)
+            values.push_back(v);
+        for (std::uint32_t k : {1u, 2u, 3u}) {
+            const std::uint64_t edge = std::uint64_t{extent} * k;
+            for (std::uint64_t v : {edge - 1, edge, edge + 1}) {
+                if (v <= kFar)
+                    values.push_back(static_cast<std::uint32_t>(v));
+            }
+        }
+        values.insert(values.end(), {kFar - 1, kFar});
+        for (std::uint32_t v : values) {
+            ASSERT_EQ(wrapCoord(v, extent), v % extent)
+                << v << " mod " << extent;
+        }
+    }
 }

@@ -51,6 +51,15 @@ BARE_FD_ALLOWLIST = {
 }
 
 
+# An include of an x86 vector-intrinsics header (<emmintrin.h>,
+# <immintrin.h>, ...), and a test of a target SIMD macro.
+SIMD_INCLUDE = re.compile(r"^\s*#\s*include\s*[<\"]\w*mmintrin\.h[>\"]")
+SIMD_MACRO = re.compile(r"\b__(?:SSE\d*(?:_\d)?|SSSE3|AVX\w*)__\b")
+
+# The one file allowed vector intrinsics: each kernel there sits
+# beside its scalar fallback and is tested by tests/test_byte_scan.cc.
+SIMD_HOME = Path("src/common/byte_scan.hh")
+
 # A class deriving from ReplacementPolicy; group 2 is "final" if
 # present.  Spans lines, so it runs over the whole comment-stripped
 # file.
@@ -276,6 +285,32 @@ class SweepKnobEnv:
                     f"{match.group(1)} read outside the SweepConfig "
                     "constructor; take the value from the "
                     "SweepJobSpec (analysis/job_spec.hh)")
+
+
+@register
+class SimdOneHeader:
+    """Vector kernels live in common/byte_scan.hh, each beside its
+    scalar fallback and covered by its test; an intrinsic elsewhere
+    would have neither."""
+
+    name = "simd-one-header"
+    description = ("vector intrinsics header or SIMD macro test "
+                   "outside common/byte_scan.hh")
+
+    def check_file(self, ctx):
+        if ctx.rel == SIMD_HOME:
+            return
+        for lineno, (raw, code) in enumerate(
+                zip(ctx.raw_lines, ctx.code_lines), start=1):
+            # Include paths are string-like, so match the raw line of
+            # a directive that survived comment stripping.
+            if ((code.lstrip().startswith("#")
+                 and SIMD_INCLUDE.search(raw))
+                    or SIMD_MACRO.search(code)):
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    "vector intrinsics belong in common/byte_scan.hh, "
+                    "beside their scalar fallback and test")
 
 
 @register

@@ -223,6 +223,33 @@ class TestConventions(LintFixture):
         self.write("tests/t.cc", read)
         self.assertEqual(self.run_checker("sweep-knob-env"), [])
 
+    def test_simd_one_header_flags_intrinsics_elsewhere(self):
+        self.write("src/rcache/small_cache.cc",
+                   "#include <emmintrin.h>\n"
+                   "#  include \"immintrin.h\"\n"
+                   "#ifdef __SSE2__\n"
+                   "#if defined(__AVX2__) || defined(__SSE4_1__)\n"
+                   "#endif\n")
+        self.write("tests/t.cc", "#include <xmmintrin.h>\n")
+        findings = self.run_checker("simd-one-header")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/rcache/small_cache.cc", 1),
+                          ("src/rcache/small_cache.cc", 2),
+                          ("src/rcache/small_cache.cc", 3),
+                          ("src/rcache/small_cache.cc", 4),
+                          ("tests/t.cc", 1)])
+
+    def test_simd_one_header_allows_the_home_comments_and_names(self):
+        self.write("src/common/byte_scan.hh",
+                   "#ifdef __SSE2__\n#include <emmintrin.h>\n#endif\n")
+        # Comments, strings and ordinary names pass.
+        self.write("src/cache/rrip.hh",
+                   "// SSE2 scan, see <emmintrin.h> and __SSE2__\n"
+                   "const char *m = \"__SSE2__\";\n"
+                   "int __SSE2__x = kSse2Lanes;\n"
+                   "#include \"common/byte_scan.hh\"\n")
+        self.assertEqual(self.run_checker("simd-one-header"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",
