@@ -14,49 +14,31 @@
  * missing.  A resumed run therefore merges to a SweepResult that is
  * byte-identical to an uninterrupted one.
  *
- * Journal layout: line 1 is a header describing the sweep
- * configuration (scale, LLC geometry, policy list) so a stale
- * journal cannot silently contaminate a different sweep; every
- * following line is one cell.  Each line ends with a "line_hash"
- * field — fnv1a64 of the bytes before it — so the torn final line
- * of a killed run (or any rotted line) is detected and skipped, not
- * trusted and not fatal.
+ * Journal layout: a sealed journal (common/durable_file.hh) whose
+ * line 1 is a header describing the sweep configuration (scale, LLC
+ * geometry, policy list) so a stale journal cannot silently
+ * contaminate a different sweep; every following line is one cell.
+ * The torn final line of a killed run (or any rotted line) fails its
+ * seal and is skipped, not trusted and not fatal.  A line that parses
+ * but does not re-emit to the same bytes counts as torn too.
  */
 
 #ifndef GLLC_ANALYSIS_CHECKPOINT_HH
 #define GLLC_ANALYSIS_CHECKPOINT_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/cell_key.hh"
+#include "common/durable_file.hh"
 #include "common/result.hh"
-#include "common/thread_annotations.hh"
 
 namespace gllc
 {
 
 struct SweepCell;
-
-/**
- * Close a journal line: append the fnv1a64 self-checksum of
- * everything so far as a trailing "line_hash" field plus "}\n".
- * The checkpoint journal, the worker wire protocol, and the gllcd
- * job journal all seal their lines with this one helper so a line
- * survives a socket, a pipe, and a crash identically.
- */
-std::string sealJournalLine(std::string line);
-
-/**
- * Verify and strip a sealed line's trailing "line_hash"; on success
- * @p line is the checksummed prefix (note: WITHOUT its closing '}' —
- * re-append one before handing the prefix to a JSON parser).  False
- * on a torn, rotted, or unsealed line.
- */
-bool unsealJournalLine(std::string &line);
 
 /** The sweep configuration a journal belongs to. */
 struct CheckpointMeta
@@ -95,11 +77,11 @@ struct CheckpointContents
 std::string checkpointCellLine(const SweepCell &cell);
 
 /**
- * Parse and verify one sealed cell line; false on any deviation
- * (torn tail, bit rot, wrong shape) — the caller skips, never
- * trusts, a bad line.
+ * Parse and verify one sealed cell line ('\n' optional); false on any
+ * deviation (torn tail, bit rot, wrong shape) — the caller skips,
+ * never trusts, a bad line.
  */
-bool parseCheckpointCellLine(std::string line, SweepCell &cell);
+bool parseCheckpointCellLine(const std::string &line, SweepCell &cell);
 
 /**
  * Parse a journal.  Io/Corrupt errors cover an unreadable file or
@@ -111,15 +93,15 @@ bool parseCheckpointCellLine(std::string line, SweepCell &cell);
 loadCheckpoint(const std::string &path);
 
 /**
- * Appending journal writer.  fatal() on I/O failure at open (an
- * unusable checkpoint path is a configuration error; silently not
+ * Appending journal writer over a SealedJournal, fsync'd every
+ * kSyncBatch lines.  fatal() on I/O failure at open (an unusable
+ * checkpoint path is a configuration error; silently not
  * checkpointing would be worse).
  *
- * Thread-safe: append()/sync() serialize on an internal mutex, so
- * concurrent writers (the sharded service path, future multi-merge
- * engines) interleave whole sealed lines, never torn ones.  The
- * in-process sweep engine appends from its single merge thread and
- * pays one uncontended lock per cell.
+ * Thread-safe: concurrent writers (the sharded service path, future
+ * multi-merge engines) interleave whole sealed lines, never torn
+ * ones.  The in-process sweep engine appends from its single merge
+ * thread and pays one uncontended lock per cell.
  */
 class CheckpointWriter
 {
@@ -132,28 +114,17 @@ class CheckpointWriter
     CheckpointWriter(const std::string &path,
                      const CheckpointMeta &meta, bool append);
 
-    /** Flushes and syncs the tail batch. */
-    ~CheckpointWriter();
+    /** Journal one completed cell. */
+    void append(const SweepCell &cell);
 
-    CheckpointWriter(const CheckpointWriter &) = delete;
-    CheckpointWriter &operator=(const CheckpointWriter &) = delete;
-
-    /** Journal one completed cell; syncs every kSyncBatch lines. */
-    void append(const SweepCell &cell) GLLC_EXCLUDES(mutex_);
-
-    /** Flush user-space buffers and fsync to stable storage. */
-    void sync() GLLC_EXCLUDES(mutex_);
+    /** fsync what was appended. */
+    void sync();
 
     /** Lines fsync'd per batch; small so a crash loses little. */
     static constexpr unsigned kSyncBatch = 16;
 
   private:
-    void syncLocked() GLLC_REQUIRES(mutex_);
-
-    Mutex mutex_;
-    std::FILE *file_ GLLC_GUARDED_BY(mutex_) = nullptr;
-    std::string path_;
-    unsigned pendingLines_ GLLC_GUARDED_BY(mutex_) = 0;
+    SealedJournal journal_;
 };
 
 } // namespace gllc

@@ -12,6 +12,9 @@ namespace
 
 constexpr int kMaxDepth = 64;
 
+const char *decodeJsonString(const std::string &text, std::size_t &pos,
+                             std::string &out);
+
 } // namespace
 
 const JsonValue *
@@ -30,8 +33,10 @@ JsonValue::asU64(const char *what) const
     if (kind_ != Kind::Number)
         return Error::format(ErrorCode::InvalidArgument,
                              "%s: expected a number", what);
+    // The bound applies to the already-rounded double: 2^53 + 1
+    // parses as 2^53, so 2^53 itself must be out of range.
     if (number_ < 0.0 || number_ != std::floor(number_)
-        || number_ > 9007199254740992.0)
+        || number_ >= 9007199254740992.0)
         return Error::format(ErrorCode::InvalidArgument,
                              "%s: expected an unsigned integer",
                              what);
@@ -54,6 +59,41 @@ JsonValue::asBool(const char *what) const
         return Error::format(ErrorCode::InvalidArgument,
                              "%s: expected a boolean", what);
     return boolean_;
+}
+
+void
+JsonLeaves::collect(const JsonValue &node)
+{
+    if (node.isArray()) {
+        for (const JsonValue &item : node.items())
+            collect(item);
+    } else if (node.isObject()) {
+        for (const auto &[key, value] : node.members())
+            collect(value);
+    } else {
+        leaves_.push_back(&node);
+    }
+}
+
+std::uint64_t
+JsonLeaves::u64()
+{
+    if (!done()) {
+        if (Result<std::uint64_t> v = leaves_[next_++]->asU64("value");
+            v.ok())
+            return v.value();
+    }
+    ok_ = false;
+    return 0;
+}
+
+std::string
+JsonLeaves::str()
+{
+    if (!done() && leaves_[next_]->isString())
+        return leaves_[next_++]->string();
+    ok_ = false;
+    return "";
 }
 
 /** Recursive-descent parser over one in-memory document. */
@@ -263,6 +303,15 @@ parseJson(const std::string &text)
     return JsonParser(text).parse();
 }
 
+namespace
+{
+
+/**
+ * Decode the rest of a JSON string literal: @p pos is just past the
+ * opening quote, and on success just past the closing one, with the
+ * unescaped bytes in @p out.  nullptr on success, else what is
+ * malformed.
+ */
 const char *
 decodeJsonString(const std::string &text, std::size_t &pos,
                  std::string &out)
@@ -351,6 +400,8 @@ decodeJsonString(const std::string &text, std::size_t &pos,
     }
     return "unterminated string";
 }
+
+} // namespace
 
 std::string
 jsonEscape(const std::string &s)

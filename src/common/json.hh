@@ -2,23 +2,20 @@
  * @file
  * Minimal JSON document parser for the serializable job API.
  *
- * The checkpoint journal deliberately parses its own exact emitter
- * output with a strict sequential cursor; the sweep-service protocol
- * cannot afford that, because job requests arrive from external
- * clients whose field order and whitespace are not ours to dictate.
- * This parser accepts any syntactically valid JSON document (objects,
- * arrays, strings, numbers, booleans, null) and returns a typed tree;
- * malformed input surfaces as a typed Error (never a crash), which is
- * what lets the daemon treat garbage frames as a client problem
- * instead of a process problem.
+ * The one JSON reader: job requests from external clients (whose
+ * field order and whitespace are not ours to dictate), journals and
+ * worker replies all go through it.  It accepts any syntactically
+ * valid JSON document (objects, arrays, strings, numbers, booleans,
+ * null) and returns a typed tree; malformed input surfaces as a typed
+ * Error (never a crash), which is what lets the daemon treat garbage
+ * frames as a client problem instead of a process problem.
  *
  * Scope: this is a deserializer only.  Writers in this codebase emit
  * canonical JSON by string concatenation (checkpoint, report,
  * job_spec) so that serialized artifacts are reproducible
  * byte-for-byte; a general-purpose writer would obscure that
- * guarantee.  Numbers are held as doubles (exact for the unsigned
- * integers the job API uses, up to 2^53) plus the raw literal for
- * callers that need to reject non-integers.
+ * guarantee.  Numbers are held as doubles, exact for the integers
+ * below 2^53 that asU64() accepts.
  */
 
 #ifndef GLLC_COMMON_JSON_HH
@@ -76,7 +73,7 @@ class JsonValue
     /**
      * The value as an unsigned integer.  Errors (InvalidArgument)
      * when the node is not a number, is negative, has a fractional
-     * part, or exceeds 2^53 (where doubles stop being exact).
+     * part, or is 2^53 or more (where doubles stop being exact).
      */
     [[nodiscard]] Result<std::uint64_t>
     asU64(const char *what) const;
@@ -100,20 +97,40 @@ class JsonValue
 };
 
 /**
+ * The scalar values of a parsed document in document order, keys
+ * aside, taken one at a time.  A reader of lines only its own writer
+ * emits takes them in the writer's order, then re-emits and compares,
+ * which checks keys, order and shape at once.  Taking a value of the
+ * wrong type, or past the last, clears ok().
+ */
+class JsonLeaves
+{
+  public:
+    explicit JsonLeaves(const JsonValue &doc) { collect(doc); }
+
+    /** The next value via asU64(); 0 when it is not one. */
+    std::uint64_t u64();
+
+    /** The next value as a string; "" when it is not one. */
+    std::string str();
+
+    bool done() const { return next_ == leaves_.size(); }
+    bool ok() const { return ok_; }
+
+  private:
+    void collect(const JsonValue &node);
+
+    std::vector<const JsonValue *> leaves_;
+    std::size_t next_ = 0;
+    bool ok_ = true;
+};
+
+/**
  * Parse one complete JSON document.  Trailing non-whitespace bytes,
  * nesting beyond 64 levels, and every syntax violation produce an
  * Error of code Corrupt with the byte offset in the context string.
  */
 [[nodiscard]] Result<JsonValue> parseJson(const std::string &text);
-
-/**
- * Decode the rest of a JSON string literal: @p pos is just past the
- * opening quote, and on success just past the closing one, with the
- * unescaped bytes in @p out.  nullptr on success, else what is
- * malformed.  parseJson() and the checkpoint line reader share it.
- */
-const char *decodeJsonString(const std::string &text, std::size_t &pos,
-                             std::string &out);
 
 /**
  * Escape a string for embedding in a JSON emitter ("\\", '"',

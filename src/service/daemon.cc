@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "analysis/report.hh"
+#include "common/durable_file.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
@@ -23,7 +24,6 @@
 #include "common/metrics.hh"
 #include "common/trace_event.hh"
 #include "service/fd_hygiene.hh"
-#include "trace/trace_io.hh"
 
 namespace gllc
 {
@@ -195,10 +195,12 @@ SweepDaemon::start()
         if (!opened.ok())
             return opened.error();
     }
-    // Trace temp files left by a worker or daemon killed mid-write
-    // are never read and never renamed; no worker of ours runs yet.
-    if (store_.enabled())
-        removeTraceTempFiles(store_.traceCacheDir());
+    // Temp files left by a worker or daemon killed mid-write are
+    // never read and never renamed; no worker of ours runs yet.
+    if (store_.enabled()) {
+        removeTempFiles(store_.root());
+        removeTempFiles(store_.traceCacheDir());
+    }
     if (!options_.traceDir.empty()) {
         std::error_code mkdir_error;
         std::filesystem::create_directories(options_.traceDir,

@@ -14,10 +14,13 @@
  * acceptance order, so a kill -9 mid-queue followed by a restart
  * completes every accepted job — and the results, being computed
  * from the same canonical spec, are byte-identical to a local run.
+ * The daemon writes a finish record only after storing the result,
+ * an atomic rename without fsync: the order protects against a
+ * killed daemon, not against a power loss.
  *
- * Format ("gllcd-journal-v1"): JSON lines sealed exactly like the
- * checkpoint journal (sealJournalLine: trailing fnv1a64 "line_hash",
- * torn tails trimmed on append-open, bad lines skipped on load):
+ * Format ("gllcd-journal-v1"): a sealed journal like the checkpoint
+ * (common/durable_file.hh: torn tails trimmed on open, bad lines
+ * skipped on load):
  *
  *   header  {"gllcd_journal":1,...}
  *   accept  {"accept":1,"job":ID,"tenant":T,"priority":P,
@@ -35,12 +38,11 @@
 #define GLLC_SERVICE_JOB_JOURNAL_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/durable_file.hh"
 #include "common/result.hh"
-#include "common/thread_annotations.hh"
 #include "service/job_queue.hh"
 
 namespace gllc
@@ -80,34 +82,26 @@ struct JournalRecovery
 class JobJournal
 {
   public:
-    JobJournal() = default;
-    ~JobJournal();
-
-    JobJournal(const JobJournal &) = delete;
-    JobJournal &operator=(const JobJournal &) = delete;
-
     /**
      * Open @p path for appending: trim a torn tail, write the
      * header when starting fresh.  Io when the path is unusable.
      */
-    [[nodiscard]] Result<Unit> open(const std::string &path)
-        GLLC_EXCLUDES(mutex_);
+    [[nodiscard]] Result<Unit> open(const std::string &path);
 
     /** True once open() succeeded (records will persist). */
-    bool active() const GLLC_EXCLUDES(mutex_);
+    bool active() const;
 
     /** Durably record an accepted job.  Call BEFORE queuing it. */
-    void recordAccept(const QueuedJob &job) GLLC_EXCLUDES(mutex_);
+    void recordAccept(const QueuedJob &job);
 
     /**
      * Durably record a job's terminal outcome ("completed",
      * "failed", "cancelled", "shed").
      */
-    void recordFinish(std::uint64_t id, const char *outcome)
-        GLLC_EXCLUDES(mutex_);
+    void recordFinish(std::uint64_t id, const char *outcome);
 
-    /** Flush, sync, and close; further records are dropped. */
-    void close() GLLC_EXCLUDES(mutex_);
+    /** Sync and close; further records are dropped. */
+    void close();
 
     /**
      * Replay the journal at @p path.  Io when the file cannot be
@@ -119,12 +113,7 @@ class JobJournal
     load(const std::string &path);
 
   private:
-    void appendLocked(const std::string &line)
-        GLLC_REQUIRES(mutex_);
-
-    mutable Mutex mutex_;
-    std::FILE *file_ GLLC_GUARDED_BY(mutex_) = nullptr;
-    std::string path_;
+    SealedJournal journal_;
 };
 
 } // namespace gllc

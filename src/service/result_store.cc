@@ -1,14 +1,13 @@
 #include "service/result_store.hh"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <sys/stat.h>
-#include <unistd.h>
+
+#include "common/durable_file.hh"
 
 namespace gllc
 {
@@ -77,30 +76,8 @@ ResultStore::store(const ResultKey &key, const std::string &payload)
         return Error::format(ErrorCode::Io,
                              "cannot create store dir %s: %s",
                              root_.c_str(), mkdir_error.message().c_str());
-    const std::string final_path = path(key);
-    const std::string tmp_path =
-        final_path + ".tmp." + std::to_string(::getpid());
-    // Every failure removes the temp file, so nothing partial is ever
-    // left behind or published.
-    const auto fail = [&tmp_path](const char *what) -> Result<Unit> {
-        const Error err = Error::format(ErrorCode::Io, "%s %s: %s",
-                                        what, tmp_path.c_str(),
-                                        std::strerror(errno));
-        ::unlink(tmp_path.c_str());
-        return err;
-    };
-    std::ofstream os(tmp_path, std::ios::binary);
-    if (!os)
-        return fail("cannot write");
-    os << payload;
-    // A payload that fits in the stream buffer only reaches the disk
-    // in the flush of close(), so the check must follow it.
-    os.close();
-    if (!os)
-        return fail("write failed on");
-    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0)
-        return fail("cannot rename");
-    return Unit{};
+    return writeFileAtomically(
+        path(key), [&payload](std::ostream &os) { os << payload; });
 }
 
 } // namespace gllc

@@ -19,11 +19,12 @@
  *
  *   <root>/traces/tr<traceHash of that one frame:016x>.gltrc
  *
- * (workload/trace_cache.hh).  Neither is ever evicted.  Writes
- * go through a same-directory temp file and rename(2), so a crashed
- * daemon can never leave a torn entry for a later hit to trust;
- * results with quarantined cells are never stored (partial results
- * must be recomputed, not replayed forever).
+ * (workload/trace_cache.hh).  Neither is ever evicted.  Both are
+ * written with writeFileAtomically() (common/durable_file.hh), so a
+ * crashed daemon can never leave a torn entry for a later hit to
+ * trust; the temp file of a daemon killed mid-write is removed when
+ * the next one starts.  Results with quarantined cells are never
+ * stored (partial results must be recomputed, not replayed forever).
  */
 
 #ifndef GLLC_SERVICE_RESULT_STORE_HH
@@ -73,6 +74,9 @@ class ResultStore
     /** True when the store is configured with a directory. */
     bool enabled() const { return !root_.empty(); }
 
+    /** The store directory ("" when disabled). */
+    const std::string &root() const { return root_; }
+
     /** The frame-trace cache directory ("" when disabled). */
     std::string
     traceCacheDir() const
@@ -94,8 +98,8 @@ class ResultStore
     load(const ResultKey &key) const;
 
     /**
-     * Atomically persist @p payload under @p key (temp file +
-     * rename).  Io on filesystem failure, including a failed final
+     * Atomically persist @p payload under @p key
+     * (writeFileAtomically()).  Io on filesystem failure, including a failed final
      * flush; the temp file is then removed and nothing is
      * published under @p key.  The daemon logs and
      * continues, because serving the computed result matters more

@@ -23,6 +23,7 @@
 #include "analysis/checkpoint.hh"
 #include "analysis/offline_sim.hh"
 #include "analysis/policy_table.hh"
+#include "common/durable_file.hh"
 #include "common/env.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
@@ -31,7 +32,6 @@
 #include "common/thread_annotations.hh"
 #include "common/trace_event.hh"
 #include "service/fd_hygiene.hh"
-#include "trace/trace_io.hh"
 #include "workload/trace_cache.hh"
 
 namespace gllc
@@ -39,16 +39,6 @@ namespace gllc
 
 namespace
 {
-
-/** Verify a sealed line's trailing checksum (keeps @p line whole). */
-bool
-verifySeal(const std::string &line)
-{
-    std::string copy = line;
-    if (!copy.empty() && copy.back() == '\n')
-        copy.pop_back();
-    return unsealJournalLine(copy);
-}
 
 /** The failed-cell line of the worker protocol (sealed). */
 std::string
@@ -81,38 +71,21 @@ struct FailedCell
 bool
 parseFailedCellLine(const std::string &line, FailedCell &out)
 {
-    if (line.compare(0, 12, "{\"failed\":1,") != 0
-        || !verifySeal(line))
+    JsonValue doc;
+    if (!parseSealedLine(line, doc))
         return false;
-    Result<JsonValue> parsed = parseJson(
-        line.back() == '\n' ? line.substr(0, line.size() - 1)
-                            : line);
-    if (!parsed.ok())
-        return false;
-    const JsonValue doc = parsed.take();
-    const JsonValue *app = doc.find("app");
-    const JsonValue *frame = doc.find("frame");
-    const JsonValue *policy = doc.find("policy");
-    const JsonValue *attempts = doc.find("attempts");
-    const JsonValue *error = doc.find("error");
-    if (app == nullptr || frame == nullptr || policy == nullptr
-        || attempts == nullptr || error == nullptr)
-        return false;
-    Result<std::string> app_name = app->asString("app");
-    Result<std::uint64_t> frame_index = frame->asU64("frame");
-    Result<std::string> policy_name = policy->asString("policy");
-    Result<std::uint64_t> attempt_count =
-        attempts->asU64("attempts");
-    Result<std::string> error_text = error->asString("error");
-    if (!app_name.ok() || !frame_index.ok() || !policy_name.ok()
-        || !attempt_count.ok() || !error_text.ok())
-        return false;
-    out.key = {app_name.take(),
-               static_cast<std::uint32_t>(frame_index.value()),
-               policy_name.take()};
-    out.attempts = static_cast<unsigned>(attempt_count.value());
-    out.error = error_text.take();
-    return true;
+    // The values in failedCellLine()'s order; the re-emit below
+    // rejects a line of any other shape.
+    JsonLeaves v(doc);
+    v.u64();  // "failed":1
+    out.key.app = v.str();
+    out.key.frameIndex = static_cast<std::uint32_t>(v.u64());
+    out.key.policy = v.str();
+    out.attempts = static_cast<unsigned>(v.u64());
+    out.error = v.str();
+    return v.ok()
+        && sameSealedLine(
+            failedCellLine(out.key, out.attempts, out.error), line);
 }
 
 /** Write all bytes; false on unrecoverable error (EPIPE, ...). */
@@ -435,7 +408,7 @@ class WorkerProcess
             how = exitDescription(status);
             if (!traceCacheDir_.empty()
                 && !(WIFEXITED(status) && WEXITSTATUS(status) == 0))
-                removeTraceTempFiles(traceCacheDir_, pid_);
+                removeTempFiles(traceCacheDir_, pid_);
             pid_ = -1;
         }
         return how;

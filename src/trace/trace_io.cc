@@ -1,15 +1,11 @@
 #include "trace/trace_io.hh"
 
-#include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <unistd.h>
 
+#include "common/durable_file.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -135,55 +131,8 @@ writeTrace(const FrameTrace &trace, std::ostream &os)
 Result<Unit>
 tryWriteTraceFile(const FrameTrace &trace, const std::string &path)
 {
-    // Write a private temp file in the same directory, then rename()
-    // it over @p path: a concurrent reader finds the old file, the new
-    // one or none, never a torn one, and racing writers each publish
-    // a whole file.
-    static std::atomic<std::uint64_t> next_tmp{0};
-    const std::string tmp_path = path + ".tmp."
-        + std::to_string(::getpid()) + "."
-        + std::to_string(next_tmp.fetch_add(1));
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        return Error::format(ErrorCode::Io,
-                             "cannot open \"%s\" for writing",
-                             tmp_path.c_str());
-    }
-    writeTrace(trace, os);
-    os.close();
-    if (!os) {
-        ::unlink(tmp_path.c_str());
-        return Error::format(ErrorCode::Io, "write to \"%s\" failed",
-                             tmp_path.c_str());
-    }
-    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-        const Error err = Error::format(
-            ErrorCode::Io, "rename \"%s\" -> \"%s\" failed: %s",
-            tmp_path.c_str(), path.c_str(), std::strerror(errno));
-        ::unlink(tmp_path.c_str());
-        return err;
-    }
-    return Unit{};
-}
-
-std::size_t
-removeTraceTempFiles(const std::string &dir, long writer_pid)
-{
-    const std::string tag = writer_pid == 0
-        ? ".tmp."
-        : ".tmp." + std::to_string(writer_pid) + ".";
-    std::size_t removed = 0;
-    DIR *listing = ::opendir(dir.c_str());
-    if (listing == nullptr)
-        return 0;
-    while (const dirent *entry = ::readdir(listing)) {
-        const std::string name = entry->d_name;
-        if (name.find(tag) != std::string::npos
-            && ::unlink((dir + "/" + name).c_str()) == 0)
-            ++removed;
-    }
-    ::closedir(listing);
-    return removed;
+    return writeFileAtomically(
+        path, [&trace](std::ostream &os) { writeTrace(trace, os); });
 }
 
 void

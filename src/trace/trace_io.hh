@@ -31,6 +31,10 @@
  * sites trace.bitflip / trace.truncate (common/fault.hh) corrupt
  * reads on demand to keep those paths tested.  The unprefixed
  * readers are legacy wrappers that fatal() on error.
+ *
+ * Files are written with writeFileAtomically() (common/durable_file):
+ * a reader sees a whole trace or none, even across a killed writer,
+ * but nothing is fsync'd, so a power loss can lose a trace file.
  */
 
 #ifndef GLLC_TRACE_TRACE_IO_HH
@@ -49,21 +53,12 @@ namespace gllc
 void writeTrace(const FrameTrace &trace, std::ostream &os);
 
 /**
- * Serialize @p trace to a file; typed error on I/O failure.  The file
- * appears atomically (temp file + rename), so readers never see a
- * partial trace and concurrent writers of one path cannot tear it.
+ * Serialize @p trace to a file, atomically (see file comment); typed
+ * error on I/O failure.  Concurrent writers of one path cannot tear
+ * it, and the trace streams straight into the temp file.
  */
 [[nodiscard]] Result<Unit> tryWriteTraceFile(const FrameTrace &trace,
                                const std::string &path);
-
-/**
- * Remove the temp files tryWriteTraceFile() leaves in @p dir when its
- * writer dies mid-write (`<name>.tmp.<pid>.<n>`): those of process
- * @p writer_pid, or all of them when it is 0.  Returns how many were
- * removed; a missing directory removes none.
- */
-std::size_t removeTraceTempFiles(const std::string &dir,
-                                 long writer_pid = 0);
 
 /** Legacy wrapper over tryWriteTraceFile(); fatal on I/O failure. */
 void writeTraceFile(const FrameTrace &trace, const std::string &path);

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -287,4 +288,89 @@ TEST(Checkpoint, ConcurrentAppendersTearNoLines)
         expectCellEqual(it->second, want);
     }
     std::remove(path.c_str());
+}
+
+namespace
+{
+
+/**
+ * checkpointCellLine(sampleCell(0)) with @p edit applied to its
+ * checksummed prefix and the result sealed again, so only the shape
+ * can make a reader refuse it.
+ */
+std::string
+resealedCellLine(const std::function<void(std::string &)> &edit)
+{
+    std::string prefix = checkpointCellLine(sampleCell(0));
+    prefix.pop_back();  // '\n'
+    EXPECT_TRUE(unsealJournalLine(prefix));
+    edit(prefix);
+    return sealJournalLine(std::move(prefix));
+}
+
+/** Replace the one occurrence of @p from in @p text by @p to. */
+void
+replaceOnce(std::string &text, const std::string &from,
+            const std::string &to)
+{
+    const std::size_t pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    text.replace(pos, from.size(), to);
+}
+
+/** Whether @p line parses as a cell. */
+bool
+parses(const std::string &line)
+{
+    SweepCell cell;
+    return parseCheckpointCellLine(line, cell);
+}
+
+} // namespace
+
+TEST(Checkpoint, ResealedUnchangedLineParses)
+{
+    EXPECT_TRUE(parses(resealedCellLine([](std::string &) {})));
+}
+
+TEST(Checkpoint, ReorderedFieldsAreTorn)
+{
+    EXPECT_FALSE(parses(resealedCellLine([](std::string &s) {
+        replaceOnce(s, "\"writebacks\":777,\"evictions\":888",
+                    "\"evictions\":888,\"writebacks\":777");
+    })));
+}
+
+TEST(Checkpoint, ExtraFieldIsTorn)
+{
+    EXPECT_FALSE(parses(
+        resealedCellLine([](std::string &s) { s += ",\"extra\":1"; })));
+}
+
+TEST(Checkpoint, ShortFillsRowIsTorn)
+{
+    EXPECT_FALSE(parses(resealedCellLine([](std::string &s) {
+        // Drop the last count of the last fills row.
+        ASSERT_EQ(s.compare(s.size() - 2, 2, "]]"), 0);
+        const std::size_t comma = s.rfind(',');
+        s.erase(comma, s.size() - 2 - comma);
+    })));
+}
+
+TEST(Checkpoint, WhitespaceBetweenTokensIsTorn)
+{
+    EXPECT_FALSE(parses(resealedCellLine([](std::string &s) {
+        replaceOnce(s, "\"frame\":0", "\"frame\": 0");
+    })));
+}
+
+TEST(Checkpoint, CounterOfTwoToTheFiftyThreeIsTorn)
+{
+    // The JSON reader holds numbers as doubles, exact below 2^53; a
+    // counter beyond that cannot round-trip, so its cell is re-done.
+    SweepCell cell = sampleCell(0);
+    cell.result.stats.writebacks = (1ull << 53) - 1;
+    EXPECT_TRUE(parses(checkpointCellLine(cell)));
+    cell.result.stats.writebacks = 1ull << 53;
+    EXPECT_FALSE(parses(checkpointCellLine(cell)));
 }

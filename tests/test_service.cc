@@ -1109,6 +1109,31 @@ TEST_F(ServiceTest, TraceTempFilesOfKilledWorkersAreRemoved)
     EXPECT_EQ(cachedTraceFiles(traces).size(), 3u);  // 2 frames + kept
 }
 
+TEST_F(ServiceTest, StoreTempFilesOfAKilledDaemonAreRemovedAtStart)
+{
+    // A daemon killed between writing a result's temp file and
+    // renaming it leaves <entry>.json.tmp.<pid>.<n> in the store
+    // root.  The next daemon removes it when it starts.
+    const std::string store = tempPath("tmp_root_store");
+    std::filesystem::remove_all(store);
+    std::filesystem::create_directories(store + "/traces");
+    const auto touch = [](const std::string &path) {
+        std::ofstream(path, std::ios::binary) << "partial";
+    };
+    const std::string kept =
+        store + "/tr0000000000000001-sp0000000000000002.json";
+    touch(store + "/tr0000000000000001-sp0000000000000003.json.tmp.1.0");
+    touch(store + "/traces/trstale.gltrc.tmp.1.0");
+    touch(kept);
+    DaemonOptions options;
+    options.workers = 1;
+    options.storeDir = store;
+    startDaemonWith(std::move(options));
+    EXPECT_TRUE(traceTempFiles(store).empty());
+    EXPECT_TRUE(traceTempFiles(store + "/traces").empty());
+    EXPECT_TRUE(std::filesystem::exists(kept));
+}
+
 TEST_F(ServiceTest, ConcurrentJobsOnTwoWorkersNeverHang)
 {
     // Each job's two shard threads fork their workers concurrently.
@@ -1750,4 +1775,24 @@ TEST_F(ServiceTest, StatusAnswersConcurrentlyWithRunningJobs)
 
     EXPECT_GE(status_ok.load(), 1u);
     EXPECT_EQ(daemon_->jobsCompleted(), 2u);
+}
+
+TEST(Json, U64RejectsTwoToTheFiftyThreeAndAbove)
+{
+    // 2^53 + 1 parses as the double 2^53, so the bound must exclude
+    // 2^53 itself or the value would come back one too small.
+    const auto u64 = [](const char *text) {
+        Result<JsonValue> doc = parseJson(text);
+        EXPECT_TRUE(doc.ok()) << text;
+        return doc.value().asU64("n");
+    };
+    Result<std::uint64_t> below = u64("9007199254740991");
+    ASSERT_TRUE(below.ok());
+    EXPECT_EQ(below.value(), 9007199254740991ull);
+    for (const char *text :
+         {"9007199254740992", "9007199254740993", "1e300"}) {
+        Result<std::uint64_t> v = u64(text);
+        ASSERT_FALSE(v.ok()) << text;
+        EXPECT_EQ(v.error().code, ErrorCode::InvalidArgument) << text;
+    }
 }

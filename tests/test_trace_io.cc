@@ -20,6 +20,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/durable_file.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "trace/trace_io.hh"
@@ -436,12 +437,12 @@ TEST(TraceIoAtomic, RemoveTempFilesByWriterOrAll)
         return out;
     };
 
-    EXPECT_EQ(removeTraceTempFiles(dir.string(), 41), 2u);
+    EXPECT_EQ(removeTempFiles(dir.string(), 41), 2u);
     EXPECT_EQ(names(), (std::vector<std::string>{
                            "a.gltrc", "a.gltrc.tmp.4.0",
                            "a.gltrc.tmp.411.0"}));
-    EXPECT_EQ(removeTraceTempFiles(dir.string()), 2u);
+    EXPECT_EQ(removeTempFiles(dir.string()), 2u);
     EXPECT_EQ(names(), std::vector<std::string>{"a.gltrc"});
-    EXPECT_EQ(removeTraceTempFiles((dir / "missing").string()), 0u);
+    EXPECT_EQ(removeTempFiles((dir / "missing").string()), 0u);
     fs::remove_all(dir);
 }

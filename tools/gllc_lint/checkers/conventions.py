@@ -60,6 +60,16 @@ SIMD_MACRO = re.compile(r"\b__(?:SSE\d*(?:_\d)?|SSSE3|AVX\w*)__\b")
 # beside its scalar fallback and is tested by tests/test_byte_scan.cc.
 SIMD_HOME = Path("src/common/byte_scan.hh")
 
+# A call that renames, truncates or syncs a file.  The lookbehind
+# skips members and longer names (fs.rename(), do_fsync()) but not
+# qualified spellings (::fsync(), std::filesystem::rename()).
+DURABLE_CALL = re.compile(
+    r"(?<![\w.>])(?:rename|f?truncate|fsync|fdatasync)\s*\(")
+
+# The one file allowed those calls: the sealed journal and the atomic
+# write, each tested by tests/test_durable_file.cc.
+DURABLE_HOME = Path("src/common/durable_file.cc")
+
 # A class deriving from ReplacementPolicy; group 2 is "final" if
 # present.  Spans lines, so it runs over the whole comment-stripped
 # file.
@@ -311,6 +321,30 @@ class SimdOneHeader:
                     self.name, str(ctx.rel), lineno,
                     "vector intrinsics belong in common/byte_scan.hh, "
                     "beside their scalar fallback and test")
+
+
+@register
+class DurableOneModule:
+    """Journals and atomic writes live in common/durable_file.cc:
+    one torn-tail trim, one temp-then-rename and one fsync policy.  A
+    second copy elsewhere is how the checkpoint, the job journal, the
+    result store and the trace cache once each grew their own."""
+
+    name = "durable-one-module"
+    description = ("rename/truncate/fsync under src/ outside "
+                   "common/durable_file.cc")
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src" or ctx.rel == DURABLE_HOME:
+            return
+        for lineno, line in enumerate(ctx.code_lines, start=1):
+            match = DURABLE_CALL.search(line)
+            if match:
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    f"{match.group(0).rstrip('( ')}: journals and "
+                    "atomic writes go through common/durable_file.hh "
+                    "(SealedJournal, writeFileAtomically)")
 
 
 @register

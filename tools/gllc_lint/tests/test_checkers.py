@@ -250,6 +250,32 @@ class TestConventions(LintFixture):
                    "#include \"common/byte_scan.hh\"\n")
         self.assertEqual(self.run_checker("simd-one-header"), [])
 
+    def test_durable_one_module_flags_calls_outside_the_home(self):
+        self.write("src/service/result_store.cc",
+                   "void f() {\n"
+                   "    std::rename(a, b);\n"
+                   "    ::fsync(fd);\n"
+                   "    truncate(p, 0);\n"
+                   "    ::ftruncate(fd, 0);\n"
+                   "    std::filesystem::rename(a, b);\n"
+                   "}\n")
+        findings = self.run_checker("durable-one-module")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/service/result_store.cc", n)
+                          for n in (2, 3, 4, 5, 6)])
+
+    def test_durable_one_module_allows_the_home_and_non_src(self):
+        self.write("src/common/durable_file.cc",
+                   "void f() { ::fsync(fd); std::rename(a, b); }\n")
+        self.write("tests/t.cc", "void f() { ::fsync(fd); }\n")
+        # Comments, strings, members and longer names pass.
+        self.write("src/trace/trace_io.cc",
+                   "// temp file + rename(2), no fsync()\n"
+                   "const char *m = \"truncate(\";\n"
+                   "void f() { fs.rename(x); p->fsync(); "
+                   "do_fsync(fd); }\n")
+        self.assertEqual(self.run_checker("durable-one-module"), [])
+
     def test_suppression_comment(self):
         self.write(
             "src/a.cc",
