@@ -60,6 +60,7 @@ LlcStats::merge(const LlcStats &other)
 BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     : geom_(config.capacityBytes, config.ways, config.banks),
       config_(config),
+      stride_((geom_.ways() + 15) & ~15u),
       logDecisions_(DecisionLog::active()),
       checked_(logDecisions_ || auditActive())
 {
@@ -68,13 +69,13 @@ BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     // checked_ / policyMayBypass are sampled into plain bools.
     if (logDecisions_)
         DecisionLog::local().syncDepth();
-    const std::size_t frames =
-        static_cast<std::size_t>(geom_.setsPerBank()) * geom_.ways();
+    const std::size_t slots =
+        static_cast<std::size_t>(geom_.setsPerBank()) * stride_;
     banks_.resize(geom_.banks());
     for (auto &bank : banks_) {
-        bank.tags.assign(frames, kInvalidTag);
-        bank.dirty.assign(frames, 0);
-        bank.liveWays.assign(geom_.setsPerBank(), 0);
+        bank.tags.assign(slots, kInvalidTag);
+        bank.lowTags.assign(slots, static_cast<std::uint32_t>(kInvalidTag));
+        bank.dirty.assign(slots, 0);
         bank.policy = factory();
         GLLC_ASSERT(bank.policy != nullptr);
         bank.policy->configure(geom_.setsPerBank(), geom_.ways());
@@ -82,24 +83,13 @@ BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     }
 }
 
-std::uint32_t
-BankedLlc::findWay(const Bank &bank, std::uint32_t set, Addr tag) const
-{
-    const std::size_t base =
-        static_cast<std::size_t>(set) * geom_.ways();
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (bank.tags[base + w] == tag)
-            return w;
-    }
-    return geom_.ways();
-}
-
 bool
 BankedLlc::isResident(Addr addr) const
 {
-    const Bank &bank = banks_[geom_.bankOf(addr)];
-    return findWay(bank, geom_.setOf(addr), geom_.tagOf(addr))
-        != geom_.ways();
+    const CacheGeometry::Placement where = geom_.placementOf(addr);
+    return probe(banks_[where.bank],
+                 static_cast<std::size_t>(where.set) * stride_, where.tag)
+        < geom_.ways();
 }
 
 void
@@ -114,7 +104,7 @@ BankedLlc::beginChecked(const MemAccess &access, std::uint64_t index,
     ctx.accessIndex = static_cast<std::int64_t>(index);
     ctx.bank = where.bank;
     ctx.set = where.set;
-    ctx.way = (way != geom_.ways()) ? way : -1;
+    ctx.way = (way < geom_.ways()) ? way : -1;
 }
 
 void
@@ -155,13 +145,20 @@ BankedLlc::auditSet(std::uint32_t bank_id, std::uint32_t set) const
     if (!auditActive())
         return;
     const Bank &bank = banks_[bank_id];
-    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
-    std::uint32_t live = 0;
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        const Addr tag = bank.tags[base + w];
+    const std::size_t row = static_cast<std::size_t>(set) * stride_;
+    for (std::uint32_t w = 0; w < stride_; ++w) {
+        const Addr tag = bank.tags[row + w];
+        const std::uint32_t low_tag = bank.lowTags[row + w];
+        GLLC_AUDIT_CHECK("BankedLlc", "low-tag",
+                         low_tag == static_cast<std::uint32_t>(tag)
+                             && (w < geom_.ways() || tag == kInvalidTag),
+                         "set %u %s %u holds tag 0x%llx with low tag "
+                         "0x%x",
+                         set, w < geom_.ways() ? "way" : "padding lane",
+                         w, static_cast<unsigned long long>(tag),
+                         low_tag);
         if (tag == kInvalidTag)
             continue;
-        ++live;
         const Addr addr = tag << kBlockShift;
         GLLC_AUDIT_CHECK("BankedLlc", "tag-geometry",
                          geom_.bankOf(addr) == bank_id
@@ -172,7 +169,7 @@ BankedLlc::auditSet(std::uint32_t bank_id, std::uint32_t set) const
                          geom_.bankOf(addr), geom_.setOf(addr),
                          bank_id, set);
         for (std::uint32_t o = w + 1; o < geom_.ways(); ++o) {
-            const Addr other = bank.tags[base + o];
+            const Addr other = bank.tags[row + o];
             GLLC_AUDIT_CHECK("BankedLlc", "duplicate-tag",
                              other == kInvalidTag || other != tag,
                              "tag 0x%llx resident in ways %u and %u "
@@ -181,12 +178,6 @@ BankedLlc::auditSet(std::uint32_t bank_id, std::uint32_t set) const
                              w, o, set);
         }
     }
-    GLLC_AUDIT_CHECK("BankedLlc", "occupancy-count",
-                     bank.liveWays[set] == live,
-                     "set %u occupancy counter %u disagrees with %u "
-                     "valid tags",
-                     set, static_cast<unsigned>(bank.liveWays[set]),
-                     live);
     bank.policy->auditInvariants(set);
 }
 
@@ -205,18 +196,23 @@ BankedLlc::debugCorruptEntry(std::uint32_t bank_id, std::uint32_t set,
                              std::uint32_t way, Addr tag, bool valid)
 {
     GLLC_ASSERT(bank_id < banks_.size());
+    GLLC_ASSERT(set < geom_.setsPerBank() && way < geom_.ways());
     Bank &bank = banks_[bank_id];
-    const std::size_t idx =
-        static_cast<std::size_t>(set) * geom_.ways() + way;
-    GLLC_ASSERT(idx < bank.tags.size());
-    const bool was_valid = bank.tags[idx] != kInvalidTag;
+    const std::size_t idx = static_cast<std::size_t>(set) * stride_ + way;
+    // Both rows, so only the injected corruption (not a stale low
+    // tag) trips the audit.
     bank.tags[idx] = valid ? tag : kInvalidTag;
-    // Keep the occupancy counter coherent so only the injected
-    // corruption (not a stale count) trips the audit.
-    if (valid && !was_valid)
-        ++bank.liveWays[set];
-    else if (!valid && was_valid)
-        --bank.liveWays[set];
+    bank.lowTags[idx] = static_cast<std::uint32_t>(bank.tags[idx]);
+}
+
+void
+BankedLlc::debugCorruptLowTag(std::uint32_t bank_id, std::uint32_t set,
+                              std::uint32_t way, std::uint32_t low_tag)
+{
+    GLLC_ASSERT(bank_id < banks_.size());
+    GLLC_ASSERT(set < geom_.setsPerBank() && way < stride_);
+    banks_[bank_id]
+        .lowTags[static_cast<std::size_t>(set) * stride_ + way] = low_tag;
 }
 
 FillHistogram

@@ -11,9 +11,14 @@
  * stream may have cached) but never allocate.
  *
  * Hot path (DESIGN.md section 9).  The tag store is structure-of-
- * arrays: one contiguous Addr array per bank (kInvalidTag marks an
- * empty frame) plus a parallel dirty byte array, so the tag probe is
- * a tight scan over 8-byte lanes with no flag loads.  Every access,
+ * arrays: per bank, one row per set of full tags (kInvalidTag marks
+ * an empty frame), a parallel row of their low 32 bits and a
+ * parallel dirty byte row.  Rows are padded to a multiple of 16 ways
+ * with invalid lanes.  One probe serves every associativity: it
+ * compares the low-tag row 16 ways per step (equalWordMask) and
+ * confirms each candidate against the full tag; a miss takes the
+ * first invalid way the same probe finds for kInvalidTag, and asks
+ * the policy for a victim only when there is none.  Every access,
  * in replays and tests alike, goes through the one access<>() body,
  * templated on the concrete policy class and the concrete observer
  * type so the policy and observer hooks inline; callers that do not
@@ -28,6 +33,7 @@
 #define GLLC_CACHE_BANKED_LLC_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -36,6 +42,7 @@
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
+#include "common/byte_scan.hh"
 #include "common/logging.hh"
 
 namespace gllc
@@ -166,35 +173,33 @@ class BankedLlc
         Bank &bank = banks_[where.bank];
         Policy &policy = static_cast<Policy &>(*bank.policy);
         const std::uint32_t ways = geom_.ways();
-        const std::size_t base =
-            static_cast<std::size_t>(where.set) * ways;
-        Addr *tags = bank.tags.data() + base;
+        const std::size_t row =
+            static_cast<std::size_t>(where.set) * stride_;
+        Addr *tags = bank.tags.data() + row;
+        std::uint8_t *dirty = bank.dirty.data() + row;
 
         // Global frame index of way 0 of this set, for the observer's
         // frame-indexed metadata (bank-major, then set, then way).
         const std::size_t frame_base =
-            static_cast<std::size_t>(where.bank)
-                * geom_.setsPerBank() * ways
-            + base;
+            (static_cast<std::size_t>(where.bank) * geom_.setsPerBank()
+             + where.set)
+            * ways;
 
         auto &sstats =
             bank.stats.stream[static_cast<std::size_t>(access.stream)];
         ++sstats.accesses;
 
-        std::uint32_t way = 0;
-        while (way < ways && tags[way] != where.tag)
-            ++way;
+        const std::uint32_t way = probe(bank, row, where.tag);
         if (checked_)
             beginChecked(access, index, way);
 
         const AccessInfo info{&access, index, next_use};
-        if (way != ways) {
+        if (way < ways) {
             // Hit (bypassed streams can still hit blocks another
             // stream allocated; the data is resident either way).
             ++sstats.hits;
             result.hit = true;
-            bank.dirty[base + way] |=
-                static_cast<std::uint8_t>(access.isWrite);
+            dirty[way] |= static_cast<std::uint8_t>(access.isWrite);
             policy.onHit(where.set, way, info);
             if (checked_)
                 endChecked(access, index, way, result);
@@ -218,20 +223,15 @@ class BankedLlc
         // fills the requested block into the LLC").
         ++sstats.misses;
 
-        // Prefer the lowest invalid frame; otherwise ask the policy
-        // for a victim.
-        std::uint32_t fill_way;
-        if (bank.liveWays[where.set] < ways) {
-            fill_way = 0;
-            while (tags[fill_way] != kInvalidTag)
-                ++fill_way;
-            ++bank.liveWays[where.set];
-        } else {
+        // Prefer the lowest invalid frame (padding lanes come after
+        // every way); otherwise ask the policy for a victim.
+        std::uint32_t fill_way = probe(bank, row, kInvalidTag);
+        if (fill_way >= ways) {
             fill_way = policy.selectVictim(where.set);
             GLLC_ASSERT(fill_way < ways);
             GLLC_ASSERT(tags[fill_way] != kInvalidTag);
             ++bank.stats.evictions;
-            if (bank.dirty[base + fill_way] != 0) {
+            if (dirty[fill_way] != 0) {
                 ++bank.stats.writebacks;
                 result.writeback = true;
                 result.writebackAddr = tags[fill_way] << kBlockShift;
@@ -244,8 +244,9 @@ class BankedLlc
         observer.onMissAt(access, frame_base + fill_way);
 
         tags[fill_way] = where.tag;
-        bank.dirty[base + fill_way] =
-            static_cast<std::uint8_t>(access.isWrite);
+        bank.lowTags[row + fill_way] =
+            static_cast<std::uint32_t>(where.tag);
+        dirty[fill_way] = static_cast<std::uint8_t>(access.isWrite);
         policy.onFill(where.set, fill_way, info);
         if (checked_)
             endChecked(access, index, fill_way, result);
@@ -302,9 +303,10 @@ class BankedLlc
 
     /**
      * Audit one set of one bank: no duplicate tags, every valid tag
-     * maps back to this (bank, set) under the geometry, the per-set
-     * occupancy count matches the tag store, and the bank's policy
-     * invariants hold.  No-op unless auditActive().
+     * maps back to this (bank, set) under the geometry, every way's
+     * low tag is the low 32 bits of its full tag, padding lanes hold
+     * the invalid marker, and the bank's policy invariants hold.
+     * No-op unless auditActive().
      */
     void auditSet(std::uint32_t bank, std::uint32_t set) const;
 
@@ -312,27 +314,36 @@ class BankedLlc
     void auditAll() const;
 
     /**
-     * Test-only: overwrite one tag-store entry, bypassing the access
-     * path, so the audit layer's occupancy checks can be exercised.
+     * Test-only: overwrite one tag-store entry (its full and low
+     * tag), bypassing the access path, so the audit layer's
+     * tag-store checks can be exercised.
      */
     void debugCorruptEntry(std::uint32_t bank, std::uint32_t set,
                            std::uint32_t way, Addr tag, bool valid);
+
+    /**
+     * Test-only: overwrite one way's low tag alone (@p way may be a
+     * padding lane), so the audit's low-tag check can be exercised.
+     */
+    void debugCorruptLowTag(std::uint32_t bank, std::uint32_t set,
+                            std::uint32_t way, std::uint32_t low_tag);
 
   private:
     /** Tag value of an empty frame (no real block number is ~0). */
     static constexpr Addr kInvalidTag = ~static_cast<Addr>(0);
 
     /**
-     * One bank's state, structure-of-arrays: the tag probe touches
-     * only the contiguous tags array; dirty bytes are touched once
-     * per hit-on-write / eviction; liveWays lets the miss path skip
-     * the invalid-frame scan entirely once a set is full.
+     * One bank's state, structure-of-arrays, one row of stride_
+     * slots per set: the probe reads the low-tag row and confirms
+     * candidates in the full-tag row; dirty bytes are touched once
+     * per hit-on-write / eviction.  Invalid ways and padding lanes
+     * hold kInvalidTag and its low 32 bits.
      */
     struct Bank
     {
-        std::vector<Addr> tags;            ///< kInvalidTag = empty
-        std::vector<std::uint8_t> dirty;   ///< one byte per frame
-        std::vector<std::uint16_t> liveWays;  ///< valid frames per set
+        std::vector<Addr> tags;             ///< kInvalidTag = empty
+        std::vector<std::uint32_t> lowTags; ///< low 32 bits of tags
+        std::vector<std::uint8_t> dirty;    ///< one byte per frame
         std::unique_ptr<ReplacementPolicy> policy;
 
         /**
@@ -352,8 +363,8 @@ class BankedLlc
 
     /**
      * Checked access, before the policy hooks: fill the audit
-     * context's per-access fields; @p way is the probed way, or
-     * ways() on a miss.
+     * context's per-access fields; @p way is the probed way, at or
+     * past ways() on a miss.
      */
     void beginChecked(const MemAccess &access, std::uint64_t index,
                       std::uint32_t way) const;
@@ -366,12 +377,35 @@ class BankedLlc
     void endChecked(const MemAccess &access, std::uint64_t index,
                     std::uint32_t way, LlcAccessResult result) const;
 
-    /** Find the way holding addr in the set, or ways() if absent. */
-    std::uint32_t findWay(const Bank &bank, std::uint32_t set,
-                          Addr tag) const;
+    /**
+     * The lowest way of the row starting at @p row whose full tag is
+     * @p tag, or stride_ if none.  Padding lanes come after every
+     * way, so only kInvalidTag can find one; any result >= ways()
+     * means "no such way".
+     */
+    std::uint32_t
+    probe(const Bank &bank, std::size_t row, Addr tag) const
+    {
+        const std::uint32_t *low_tags = bank.lowTags.data() + row;
+        const Addr *tags = bank.tags.data() + row;
+        const auto low_tag = static_cast<std::uint32_t>(tag);
+        for (std::uint32_t base = 0; base < stride_; base += 16) {
+            for (unsigned m = equalWordMask(low_tags + base, low_tag);
+                 m != 0; m &= m - 1) {
+                const std::uint32_t way =
+                    base + static_cast<std::uint32_t>(std::countr_zero(m));
+                if (tags[way] == tag)
+                    return way;
+            }
+        }
+        return stride_;
+    }
 
     CacheGeometry geom_;
     LlcConfig config_;
+
+    /** Slots per set row: ways rounded up to a multiple of 16. */
+    std::uint32_t stride_;
     std::vector<Bank> banks_;
 
     /**

@@ -40,6 +40,19 @@ constexpr std::size_t kByteScanSlack = 15;
 namespace detail
 {
 
+/**
+ * @p b in all 16 lanes.  _mm_set1_epi8 of a runtime byte can compile
+ * (GCC 12, -O3, inlined) to a byte store to the stack and a 4-byte
+ * movd load from that slot, a store-to-load forward that fails on
+ * every call; the multiply and 32-bit shuffle stay in registers.
+ */
+inline __m128i
+splatByte(std::uint8_t b)
+{
+    return _mm_shuffle_epi32(
+        _mm_cvtsi32_si128(static_cast<int>(b * 0x01010101u)), 0);
+}
+
 /** Movemask bits of the row's lanes in a chunk with @p left bytes. */
 inline unsigned
 chunkBits(std::uint32_t left)
@@ -54,7 +67,7 @@ chunkLanes(std::uint32_t left)
     const __m128i lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
                                        10, 11, 12, 13, 14, 15);
     return _mm_cmplt_epi8(lane,
-                          _mm_set1_epi8(static_cast<char>(left)));
+                          splatByte(static_cast<std::uint8_t>(left)));
 }
 
 inline __m128i
@@ -72,7 +85,7 @@ firstByteEqual(const std::uint8_t *row, std::uint32_t n,
                std::uint8_t value)
 {
 #ifdef __SSE2__
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(value));
+    const __m128i needle = detail::splatByte(value);
     for (std::uint32_t base = 0; base < n; base += 16) {
         const __m128i eq =
             _mm_cmpeq_epi8(detail::loadChunk(row + base), needle);
@@ -123,7 +136,7 @@ inline void
 addToBytes(std::uint8_t *row, std::uint32_t n, std::uint8_t delta)
 {
 #ifdef __SSE2__
-    const __m128i step = _mm_set1_epi8(static_cast<char>(delta));
+    const __m128i step = detail::splatByte(delta);
     for (std::uint32_t base = 0; base < n; base += 16) {
         const __m128i add = (n - base < 16)
             ? _mm_and_si128(step, detail::chunkLanes(n - base))
@@ -152,7 +165,8 @@ incrementBytesBelow(std::uint8_t *row, std::uint32_t n,
 #ifdef __SSE2__
     // x < limit  <=>  min(x, limit - 1) == x; the all-ones compare
     // lanes subtract -1.
-    const __m128i top = _mm_set1_epi8(static_cast<char>(limit - 1));
+    const __m128i top = detail::splatByte(
+        static_cast<std::uint8_t>(limit - 1));
     for (std::uint32_t base = 0; base < n; base += 16) {
         const __m128i chunk = detail::loadChunk(row + base);
         __m128i below =

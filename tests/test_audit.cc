@@ -391,6 +391,22 @@ TEST_F(AuditDeathTest, AccessPathCatchesCorruption)
     EXPECT_DEATH(llc.access(again, 1), "duplicate-tag");
 }
 
+TEST_F(AuditDeathTest, LowTagDisagreementFailsAudit)
+{
+    // The probe reads the low-tag row; a low tag that is not its full
+    // tag's low 32 bits would hide a resident block.
+    BankedLlc llc(smallConfig(), DrripPolicy::factory());
+    const MemAccess a(0x0, StreamType::Other, false);
+    llc.access(a, 0);  // tag 0 in set 0 way 0
+    llc.debugCorruptLowTag(0, 0, 0, 1);
+    EXPECT_DEATH(llc.auditAll(), "low-tag");
+
+    // A padding lane past the 4 ways must hold the invalid marker.
+    BankedLlc padded(smallConfig(), DrripPolicy::factory());
+    padded.debugCorruptLowTag(0, 0, 4, 0);
+    EXPECT_DEATH(padded.auditAll(), "low-tag");
+}
+
 // ---------------------------------------------------------------
 // Read-only guarantee: audited replay is bit-identical
 // ---------------------------------------------------------------

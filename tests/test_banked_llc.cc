@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the banked LLC model: stats accounting, dirty
- * eviction, bypass (UCD), observers and bank isolation.
+ * eviction, bypass (UCD), observers, bank isolation, and the vector
+ * tag probe against a plain scalar model of the same cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "cache/banked_llc.hh"
@@ -241,4 +244,238 @@ TEST(BankedLlc, GeometryExposed)
     BankedLlc llc(smallConfig(), LruPolicy::factory());
     EXPECT_EQ(llc.geometry().capacityBytes(), 8u * 1024);
     EXPECT_EQ(llc.geometry().ways(), 4u);
+}
+
+namespace
+{
+
+/**
+ * The LLC as plain loops: per set, a row of ways probed one full tag
+ * at a time, the lowest invalid way filled first, and the least
+ * recently touched way evicted (LruPolicy's rule).  Reports what
+ * BankedLlc<LruPolicy> must report, including the observer's frame
+ * index of every hit, fill and eviction.
+ */
+class ScalarLlc
+{
+  public:
+    explicit ScalarLlc(const LlcConfig &config)
+        : geom_(config.capacityBytes, config.ways, config.banks),
+          ucd_(config.uncachedDisplay),
+          ways_(static_cast<std::size_t>(geom_.totalSets())
+                * geom_.ways())
+    {
+    }
+
+    struct Outcome
+    {
+        LlcAccessResult result;
+        std::size_t frame = 0;  ///< frame hit or filled
+        bool evicted = false;
+        Addr evictedAddr = 0;
+    };
+
+    Outcome
+    access(const MemAccess &a)
+    {
+        Outcome out;
+        const CacheGeometry::Placement where = geom_.placementOf(a.addr);
+        const std::size_t base =
+            (static_cast<std::size_t>(where.bank) * geom_.setsPerBank()
+             + where.set)
+            * geom_.ways();
+        for (std::size_t f = base; f < base + geom_.ways(); ++f) {
+            if (ways_[f].valid && ways_[f].tag == where.tag) {
+                ways_[f].dirty = ways_[f].dirty || a.isWrite;
+                ways_[f].stamp = ++clock_;
+                out.result.hit = true;
+                out.frame = f;
+                return out;
+            }
+        }
+        if (ucd_ && a.stream == StreamType::Display) {
+            out.result.bypassed = true;
+            return out;
+        }
+        std::size_t fill = base + geom_.ways();
+        for (std::size_t f = base; f < base + geom_.ways(); ++f) {
+            if (!ways_[f].valid) {
+                fill = f;
+                break;
+            }
+        }
+        if (fill == base + geom_.ways()) {
+            fill = base;
+            for (std::size_t f = base + 1; f < base + geom_.ways(); ++f) {
+                if (ways_[f].stamp < ways_[fill].stamp)
+                    fill = f;
+            }
+            out.evicted = true;
+            out.evictedAddr = ways_[fill].tag << kBlockShift;
+            if (ways_[fill].dirty) {
+                out.result.writeback = true;
+                out.result.writebackAddr = out.evictedAddr;
+            }
+        }
+        ways_[fill] = {where.tag, true, a.isWrite, ++clock_};
+        out.frame = fill;
+        return out;
+    }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+
+    CacheGeometry geom_;
+    bool ucd_;
+    std::vector<Way> ways_;
+    std::uint64_t clock_ = 0;
+};
+
+/** Observer that records the last event's frame indices. */
+struct FrameObserver
+{
+    void
+    onHitAt(const MemAccess &, std::size_t f)
+    {
+        frame = f;
+    }
+    void
+    onMissAt(const MemAccess &, std::size_t f)
+    {
+        frame = f;
+    }
+    void onBypass(const MemAccess &) {}
+    void
+    onEvictAt(Addr addr, std::size_t f)
+    {
+        evicted = true;
+        evictedAddr = addr;
+        evictedFrame = f;
+    }
+
+    std::size_t frame = 0;
+    bool evicted = false;
+    Addr evictedAddr = 0;
+    std::size_t evictedFrame = 0;
+};
+
+/**
+ * Replay @p trace through BankedLlc<LruPolicy> and ScalarLlc in
+ * lockstep; every access must agree, and so must the totals.
+ */
+void
+expectLockstep(const LlcConfig &config, const std::vector<MemAccess> &trace)
+{
+    BankedLlc llc(config, LruPolicy::factory());
+    ASSERT_TRUE(llc.policiesAre<LruPolicy>());
+    ScalarLlc ref(config);
+    std::uint64_t hits = 0, bypasses = 0, writebacks = 0, evictions = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        FrameObserver obs;
+        const LlcAccessResult got =
+            llc.access<LruPolicy>(trace[i], i, kNever, obs);
+        const ScalarLlc::Outcome want = ref.access(trace[i]);
+        ASSERT_EQ(got.hit, want.result.hit) << "access " << i;
+        ASSERT_EQ(got.bypassed, want.result.bypassed) << "access " << i;
+        ASSERT_EQ(got.writeback, want.result.writeback) << "access " << i;
+        ASSERT_EQ(got.writebackAddr, want.result.writebackAddr)
+            << "access " << i;
+        ASSERT_EQ(obs.evicted, want.evicted) << "access " << i;
+        if (!got.bypassed) {
+            ASSERT_EQ(obs.frame, want.frame) << "access " << i;
+            ASSERT_TRUE(llc.isResident(trace[i].addr)) << "access " << i;
+        }
+        if (want.evicted) {
+            ASSERT_EQ(obs.evictedAddr, want.evictedAddr) << "access " << i;
+            ASSERT_EQ(obs.evictedFrame, want.frame) << "access " << i;
+            ASSERT_FALSE(llc.isResident(want.evictedAddr))
+                << "access " << i;
+        }
+        hits += want.result.hit;
+        bypasses += want.result.bypassed;
+        writebacks += want.result.writeback;
+        evictions += want.evicted;
+    }
+    const LlcStats s = llc.stats();
+    EXPECT_EQ(s.totalAccesses(), trace.size());
+    EXPECT_EQ(s.totalHits(), hits);
+    EXPECT_EQ(s.totalMisses(), trace.size() - hits);
+    EXPECT_EQ(s.of(StreamType::Display).bypasses, bypasses);
+    EXPECT_EQ(s.writebacks, writebacks);
+    EXPECT_EQ(s.evictions, evictions);
+    llc.auditAll();
+}
+
+} // namespace
+
+TEST(BankedLlc, LowTagAliasesAreToldApart)
+{
+    // Block numbers that agree in their low 32 bits share a set and a
+    // low tag; set 31's also share the invalid marker's low tag.
+    const LlcConfig config = smallConfig();  // 32 sets x 4 ways
+    const Addr hi = Addr{1} << 32;
+    std::vector<MemAccess> trace;
+    for (Addr low : {Addr{5}, Addr{0xffffffff}}) {
+        for (int round = 0; round < 3; ++round) {
+            for (Addr k = 0; k < 6; ++k) {
+                const bool write = (k + round) % 3 == 0;
+                trace.push_back(acc(low + k * hi, StreamType::Z, write));
+                trace.push_back(acc(low + (k / 2) * hi));
+            }
+        }
+    }
+    expectLockstep(config, trace);
+
+    BankedLlc llc(config, LruPolicy::factory());
+    llc.access(acc(5));
+    EXPECT_TRUE(llc.isResident(5 * kBlockBytes));
+    EXPECT_FALSE(llc.isResident((5 + hi) * kBlockBytes));
+    EXPECT_FALSE(llc.access(acc(5 + hi)).hit);
+    EXPECT_TRUE(llc.access(acc(5)).hit);
+    EXPECT_TRUE(llc.access(acc(5 + hi)).hit);
+    // A resident block whose low tag is the invalid marker's is not
+    // an invalid way: the next fill takes way 1, not way 0.
+    llc.access(acc(0xffffffff));
+    EXPECT_TRUE(llc.isResident(0xffffffffull * kBlockBytes));
+    llc.access(acc(0xffffffff + hi));
+    EXPECT_TRUE(llc.isResident(0xffffffffull * kBlockBytes));
+    EXPECT_TRUE(llc.isResident((0xffffffff + hi) * kBlockBytes));
+    EXPECT_EQ(llc.stats().evictions, 0u);
+}
+
+TEST(BankedLlc, ProbeMatchesScalarModelAtEveryAssociativity)
+{
+    // 20 and 32 ways span two 16-way probe steps; 20 leaves 12
+    // padding lanes.  A small pool of tags per set keeps sets full
+    // and hot, UCD makes display misses bypass, and writes leave
+    // dirty blocks to write back.
+    for (std::uint32_t ways : {1u, 2u, 4u, 8u, 16u, 20u, 32u}) {
+        LlcConfig config;
+        config.ways = ways;
+        config.banks = 2;
+        config.capacityBytes = std::uint64_t{ways} * 8 * 2 * kBlockBytes;
+        config.uncachedDisplay = true;
+        std::mt19937_64 rng(ways);
+        std::vector<MemAccess> trace;
+        for (int i = 0; i < 20000; ++i) {
+            // 16 blocks per set of each bank: 4 low-tag-alias groups
+            // of 4, one group aliasing the invalid marker's low tag.
+            const Addr set_bits = rng() % 16;
+            const Addr group = rng() % 4;
+            const Addr low = group == 3
+                ? Addr{0xffffffff}
+                : set_bits + (group * 16 + rng() % 4) * 16;
+            const Addr block = low + (rng() % 4 << 32);
+            const auto stream = static_cast<StreamType>(rng() % kNumStreams);
+            trace.push_back(acc(block, stream, rng() % 3 == 0));
+        }
+        SCOPED_TRACE(ways);
+        expectLockstep(config, trace);
+    }
 }

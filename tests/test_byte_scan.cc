@@ -5,8 +5,10 @@
  * Byte rows of 1 to 256 lanes sit at the front of a buffer whose
  * slack (and one more chunk) holds values that would change a result
  * if a lane past the row leaked in; the interesting values sit at
- * lane and chunk boundaries.  The word compare is checked on every
- * 16-word window of a 256-word row.
+ * lane and chunk boundaries.  The byte helpers also take every one
+ * of the 256 needle values, the sign-bit ones (>= 0x80) included.
+ * The word compare is checked on every 16-word window of a 256-word
+ * row.
  */
 
 #include <gtest/gtest.h>
@@ -213,6 +215,57 @@ TEST(ByteScan, EqualWordMaskMatchesPlainLoop)
                 plain |= unsigned{row[start + w] == value} << w;
             ASSERT_EQ(equalWordMask(row.data() + start, value), plain)
                 << "value " << value << " window " << start;
+        }
+    }
+}
+
+#ifdef __SSE2__  // gllc-lint: allow(simd-one-header)
+TEST(ByteScan, SplatByteFillsEveryLane)
+{
+    for (unsigned b = 0; b < 256; ++b) {
+        std::uint8_t lanes[16];
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(lanes),
+                         detail::splatByte(static_cast<std::uint8_t>(b)));
+        for (std::uint8_t lane : lanes)
+            ASSERT_EQ(lane, b);
+    }
+}
+#endif
+
+TEST(ByteScan, EveryNeedleValueMatchesPlainLoop)
+{
+    // Rows shorter than, equal to and longer than one chunk; the
+    // needle sits at one lane, its neighbours differ only in the sign
+    // bit, and the slack holds the needle.
+    std::mt19937 rng(6);
+    for (std::uint32_t n : {1u, 15u, 16u, 17u, 33u}) {
+        for (unsigned v = 0; v < 256; ++v) {
+            const auto value = static_cast<std::uint8_t>(v);
+            std::vector<std::uint8_t> buf =
+                byteRow(n, rng, value, value);
+            for (std::uint32_t w = 0; w < n; w += 2)
+                buf[w] = static_cast<std::uint8_t>(value ^ 0x80);
+            const std::uint32_t lane = rng() % n;
+            buf[lane] = value;
+            ASSERT_EQ(firstByteEqual(buf.data(), n, value),
+                      plainFirstByteEqual(buf, n, value))
+                << "n " << n << " value " << v;
+
+            std::vector<std::uint8_t> added = buf;
+            std::vector<std::uint8_t> want = buf;
+            for (std::uint32_t w = 0; w < n; ++w)
+                want[w] = static_cast<std::uint8_t>(want[w] + value);
+            addToBytes(added.data(), n, value);
+            ASSERT_EQ(added, want) << "n " << n << " delta " << v;
+
+            std::vector<std::uint8_t> aged = buf;
+            want = buf;
+            for (std::uint32_t w = 0; w < n; ++w) {
+                if (want[w] < value)
+                    ++want[w];
+            }
+            incrementBytesBelow(aged.data(), n, value);
+            ASSERT_EQ(aged, want) << "n " << n << " limit " << v;
         }
     }
 }

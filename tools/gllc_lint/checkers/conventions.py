@@ -60,6 +60,9 @@ SIMD_MACRO = re.compile(r"\b__(?:SSE\d*(?:_\d)?|SSSE3|AVX\w*)__\b")
 # beside its scalar fallback and is tested by tests/test_byte_scan.cc.
 SIMD_HOME = Path("src/common/byte_scan.hh")
 
+# A byte splat by the intrinsic that GCC can build through the stack.
+BYTE_SPLAT = re.compile(r"(?<![\w.>])_mm_set1_epi8\s*\(")
+
 # A call that renames, truncates or syncs a file.  The lookbehind
 # skips members and longer names (fs.rename(), do_fsync()) but not
 # qualified spellings (::fsync(), std::filesystem::rename()).
@@ -321,6 +324,28 @@ class SimdOneHeader:
                     self.name, str(ctx.rel), lineno,
                     "vector intrinsics belong in common/byte_scan.hh, "
                     "beside their scalar fallback and test")
+
+
+@register
+class ByteSplat:
+    """Byte splats go through detail::splatByte (common/byte_scan.hh).
+    Inlined into the LLC access path at -O3, GCC 12 builds
+    _mm_set1_epi8 of a runtime byte by storing the byte to the stack
+    and loading it back with a 4-byte movd, a store-to-load forward
+    that fails on every call; splatByte stays in registers."""
+
+    name = "byte-splat"
+    description = "_mm_set1_epi8 under src/; use detail::splatByte"
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src":
+            return
+        for lineno, line in enumerate(ctx.code_lines, start=1):
+            if BYTE_SPLAT.search(line):
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    "_mm_set1_epi8 can splat through the stack; use "
+                    "detail::splatByte")
 
 
 @register

@@ -250,6 +250,27 @@ class TestConventions(LintFixture):
                    "#include \"common/byte_scan.hh\"\n")
         self.assertEqual(self.run_checker("simd-one-header"), [])
 
+    def test_byte_splat_flags_the_intrinsic_under_src(self):
+        self.write("src/common/byte_scan.hh",
+                   "inline __m128i f(char b) {\n"
+                   "    return _mm_set1_epi8(b);\n"
+                   "}\n"
+                   "__m128i g = _mm_set1_epi8 (0);\n")
+        self.write("src/cache/rrip.hh", "auto v = ::_mm_set1_epi8(1);\n")
+        # Outside src/, comments, strings and other splats pass.
+        self.write("tests/t.cc", "auto v = _mm_set1_epi8(1);\n")
+        self.write("src/rcache/small_cache.cc",
+                   "// not _mm_set1_epi8(b), see splatByte\n"
+                   "const char *m = \"_mm_set1_epi8(\";\n"
+                   "auto w = _mm_set1_epi32(1);\n"
+                   "auto x = detail::splatByte(b);\n"
+                   "auto y = my_mm_set1_epi8(b);\n")
+        findings = self.run_checker("byte-splat")
+        self.assertEqual(sorted((f.path, f.line) for f in findings),
+                         [("src/cache/rrip.hh", 1),
+                          ("src/common/byte_scan.hh", 2),
+                          ("src/common/byte_scan.hh", 4)])
+
     def test_durable_one_module_flags_calls_outside_the_home(self):
         self.write("src/service/result_store.cc",
                    "void f() {\n"
