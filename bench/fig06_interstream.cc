@@ -22,21 +22,22 @@ main(int argc, char **argv)
     BenchCli cli(argc, argv);
     const SweepResult sweep =
         cli.apply(SweepConfig()
-            .policies({"Belady", "DRRIP", "NRU"}))
+            .policies({"Belady", "DRRIP", "NRU"})
+            .characterize(true))
             .run();
     benchBanner("Figure 6: inter-stream texture reuse", sweep);
 
     const auto inter = sweep.totalsByApp([](const RunResult &r) {
-        return static_cast<double>(r.characterization.interTexHits);
+        return static_cast<double>(r.characterization.value().interTexHits);
     });
     const auto intra = sweep.totalsByApp([](const RunResult &r) {
-        return static_cast<double>(r.characterization.intraTexHits);
+        return static_cast<double>(r.characterization.value().intraTexHits);
     });
     const auto produced = sweep.totalsByApp([](const RunResult &r) {
-        return static_cast<double>(r.characterization.rtProductions);
+        return static_cast<double>(r.characterization.value().rtProductions);
     });
     const auto consumed = sweep.totalsByApp([](const RunResult &r) {
-        return static_cast<double>(r.characterization.rtConsumptions);
+        return static_cast<double>(r.characterization.value().rtConsumptions);
     });
 
     std::vector<std::string> header{"app"};

@@ -20,7 +20,8 @@ main(int argc, char **argv)
     BenchCli cli(argc, argv);
     const SweepResult sweep =
         cli.apply(SweepConfig()
-            .policies({"Belady"}))
+            .policies({"Belady"})
+            .characterize(true))
             .run();
     benchBanner("Figure 7: texture sampler epochs under Belady",
                 sweep);
@@ -32,8 +33,8 @@ main(int argc, char **argv)
     Characterization mean_ch;
     std::map<std::string, Characterization> per_app;
     for (const SweepCell &cell : sweep.cells()) {
-        per_app[cell.key.app].merge(cell.result.characterization);
-        mean_ch.merge(cell.result.characterization);
+        per_app[cell.key.app].merge(cell.result.characterization.value());
+        mean_ch.merge(cell.result.characterization.value());
     }
 
     auto add_row = [&tp](const std::string &name,

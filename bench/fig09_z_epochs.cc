@@ -20,7 +20,8 @@ main(int argc, char **argv)
     BenchCli cli(argc, argv);
     const SweepResult sweep =
         cli.apply(SweepConfig()
-            .policies({"Belady"}))
+            .policies({"Belady"})
+            .characterize(true))
             .run();
     benchBanner("Figure 9: Z-stream epoch death ratios under Belady",
                 sweep);
@@ -28,8 +29,8 @@ main(int argc, char **argv)
     std::map<std::string, Characterization> per_app;
     Characterization all;
     for (const SweepCell &cell : sweep.cells()) {
-        per_app[cell.key.app].merge(cell.result.characterization);
-        all.merge(cell.result.characterization);
+        per_app[cell.key.app].merge(cell.result.characterization.value());
+        all.merge(cell.result.characterization.value());
     }
 
     TablePrinter tp({"app", "death E0", "death E1", "death E2"});

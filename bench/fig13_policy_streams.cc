@@ -24,7 +24,8 @@ main(int argc, char **argv)
     const SweepResult sweep =
         cli.apply(SweepConfig()
             .policies({"DRRIP", "GS-DRRIP", "GSPZTC", "GSPZTC+TSE",
-                       "GSPC", "GSPC+UCD", "Belady"}))
+                       "GSPC", "GSPC+UCD", "Belady"})
+            .characterize(true))
             .run();
     benchBanner("Figure 13: per-policy stream behaviour (means)",
                 sweep);
@@ -44,10 +45,9 @@ main(int argc, char **argv)
             s.of(StreamType::Texture).hits);
         a.tex_acc += static_cast<double>(
             s.of(StreamType::Texture).accesses);
-        a.cons += static_cast<double>(
-            cell.result.characterization.rtConsumptions);
-        a.prod += static_cast<double>(
-            cell.result.characterization.rtProductions);
+        const Characterization &ch = cell.result.characterization.value();
+        a.cons += static_cast<double>(ch.rtConsumptions);
+        a.prod += static_cast<double>(ch.rtProductions);
         a.rt_hits += static_cast<double>(
             s.of(StreamType::RenderTarget).hits);
         a.rt_acc += static_cast<double>(

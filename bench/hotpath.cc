@@ -140,6 +140,9 @@ runHotpathBench(const HotpathOptions &options)
     const LlcConfig config =
         scaledLlcConfig(8ull << 20, scale.linear * scale.linear);
 
+    // The characterizing replay, the unit this bench has always timed.
+    RunOptions characterized;
+    characterized.characterize = true;
     for (const std::string &name : names) {
         const PolicySpec spec = policySpec(name);
         HotpathPolicyResult out;
@@ -150,7 +153,8 @@ runHotpathBench(const HotpathOptions &options)
             std::uint64_t rep_accesses = 0;
             for (const FrameTrace &trace : traces) {
                 const auto start = std::chrono::steady_clock::now();
-                const RunResult r = runTrace(trace, spec, config);
+                const RunResult r =
+                    runTrace(trace, spec, config, characterized);
                 const double secs = secondsSince(start);
                 cell_ms.push_back(secs * 1e3);
                 rep_seconds += secs;

@@ -46,10 +46,12 @@ characterizeApp(const AppProfile &app, const RenderScale &scale,
     }
     std::cout << "\n";
 
+    RunOptions options;
+    options.characterize = true;
     for (const std::string policy : {"Belady", "DRRIP", "NRU"}) {
         const RunResult r =
-            runTrace(trace, policySpec(policy), llc);
-        const auto &ch = r.characterization;
+            runTrace(trace, policySpec(policy), llc, options);
+        const Characterization &ch = r.characterization.value();
         std::cout << policy << ": misses "
                   << r.stats.totalMisses() << "  hitrates TEX "
                   << fmtPct(r.stats.hitRate(StreamType::Texture))

@@ -46,13 +46,15 @@ main(int argc, char **argv)
 
     TablePrinter tp({"policy", "misses", "TEX hit", "RT hit", "Z hit",
                      "RT->TEX cons"});
+    RunOptions options;
+    options.characterize = true;
     for (const std::string &p : policies) {
-        const RunResult r = runTrace(trace, policySpec(p), llc);
+        const RunResult r = runTrace(trace, policySpec(p), llc, options);
         tp.addRow({p, std::to_string(r.stats.totalMisses()),
                    fmtPct(r.stats.hitRate(StreamType::Texture)),
                    fmtPct(r.stats.hitRate(StreamType::RenderTarget)),
                    fmtPct(r.stats.hitRate(StreamType::Z)),
-                   fmtPct(r.characterization.rtConsumptionRate())});
+                   fmtPct(r.characterization->rtConsumptionRate())});
     }
     tp.print(std::cout);
     return 0;

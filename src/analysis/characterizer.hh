@@ -67,6 +67,8 @@ struct Characterization
     double rtConsumptionRate() const;
 
     void merge(const Characterization &other);
+
+    bool operator==(const Characterization &other) const = default;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "analysis/checkpoint.hh"
 
 #include <array>
+#include <optional>
 
 #include "analysis/sweep.hh"
 #include "common/json.hh"
@@ -47,6 +48,8 @@ headerLine(const CheckpointMeta &meta)
         line += '"';
     }
     line += ']';
+    if (!meta.characterize)
+        line += ",\"characterize\":false";
     return sealJournalLine(std::move(line));
 }
 
@@ -62,8 +65,9 @@ parseHeaderLine(const std::string &line, CheckpointMeta &meta)
     meta.llcBytes = v.u64();
     meta.llcWays = static_cast<std::uint32_t>(v.u64());
     meta.llcBanks = static_cast<std::uint32_t>(v.u64());
+    meta.characterize = doc.find("characterize") == nullptr;
     meta.policies.clear();
-    while (v.ok() && !v.done())
+    while (v.ok() && v.remaining() > (meta.characterize ? 0 : 1))
         meta.policies.push_back(v.str());
     return v.ok() && sameSealedLine(headerLine(meta), line);
 }
@@ -74,7 +78,6 @@ std::string
 checkpointCellLine(const SweepCell &cell)
 {
     const LlcStats &s = cell.result.stats;
-    const Characterization &ch = cell.result.characterization;
 
     std::string line = "{\"app\":\"";
     line += jsonEscape(cell.key.app);
@@ -97,17 +100,20 @@ checkpointCellLine(const SweepCell &cell)
     line += std::to_string(s.writebacks);
     line += ",\"evictions\":";
     line += std::to_string(s.evictions);
-    line += ",\"chz\":";
-    appendU64Array(line,
-                   std::array<std::uint64_t, 4>{
-                       ch.interTexHits, ch.intraTexHits,
-                       ch.rtProductions, ch.rtConsumptions});
-    line += ",\"tex_epoch\":";
-    appendU64Array(line, ch.texEpochHits);
-    line += ",\"tex_reach\":";
-    appendU64Array(line, ch.texReach);
-    line += ",\"z_reach\":";
-    appendU64Array(line, ch.zReach);
+    if (const std::optional<Characterization> &ch =
+            cell.result.characterization) {
+        line += ",\"chz\":";
+        appendU64Array(line,
+                       std::array<std::uint64_t, 4>{
+                           ch->interTexHits, ch->intraTexHits,
+                           ch->rtProductions, ch->rtConsumptions});
+        line += ",\"tex_epoch\":";
+        appendU64Array(line, ch->texEpochHits);
+        line += ",\"tex_reach\":";
+        appendU64Array(line, ch->texReach);
+        line += ",\"z_reach\":";
+        appendU64Array(line, ch->zReach);
+    }
     line += ",\"fills\":[";
     for (std::size_t p = 0; p < kNumPolicyStreams; ++p) {
         if (p)
@@ -119,7 +125,8 @@ checkpointCellLine(const SweepCell &cell)
 }
 
 bool
-parseCheckpointCellLine(const std::string &line, SweepCell &cell)
+parseCheckpointCellLine(const std::string &line, bool characterized,
+                        SweepCell &cell)
 {
     JsonValue doc;
     if (!parseSealedLine(line, doc))
@@ -140,14 +147,17 @@ parseCheckpointCellLine(const std::string &line, SweepCell &cell)
     }
     s.writebacks = v.u64();
     s.evictions = v.u64();
-    Characterization &ch = cell.result.characterization;
-    ch.interTexHits = v.u64();
-    ch.intraTexHits = v.u64();
-    ch.rtProductions = v.u64();
-    ch.rtConsumptions = v.u64();
-    for (auto *epochs : {&ch.texEpochHits, &ch.texReach, &ch.zReach})
-        for (std::uint64_t &count : *epochs)
-            count = v.u64();
+    cell.result.characterization.reset();
+    if (characterized) {
+        Characterization &ch = cell.result.characterization.emplace();
+        ch.interTexHits = v.u64();
+        ch.intraTexHits = v.u64();
+        ch.rtProductions = v.u64();
+        ch.rtConsumptions = v.u64();
+        for (auto *epochs : {&ch.texEpochHits, &ch.texReach, &ch.zReach})
+            for (std::uint64_t &count : *epochs)
+                count = v.u64();
+    }
     for (auto &row : cell.result.fills.counts)
         for (std::uint64_t &count : row)
             count = v.u64();
@@ -165,7 +175,8 @@ loadCheckpoint(const std::string &path)
         },
         [&contents](const std::string &line) {
             SweepCell cell;
-            if (!parseCheckpointCellLine(line, cell))
+            if (!parseCheckpointCellLine(
+                    line, contents.meta.characterize, cell))
                 return false;
             const CellKey key = cell.key;
             contents.cells[key] = std::move(cell);
@@ -180,6 +191,7 @@ loadCheckpoint(const std::string &path)
 CheckpointWriter::CheckpointWriter(const std::string &path,
                                    const CheckpointMeta &meta,
                                    bool append)
+    : characterize_(meta.characterize)
 {
     if (Result<Unit> opened =
             journal_.open(path, append, headerLine(meta), kSyncBatch);
@@ -191,6 +203,10 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
 void
 CheckpointWriter::append(const SweepCell &cell)
 {
+    GLLC_ASSERT_MSG(cell.result.characterization.has_value()
+                        == characterize_,
+                    "cell %s does not have the journal's shape",
+                    cell.key.toString().c_str());
     journal_.append(checkpointCellLine(cell));
 }
 

@@ -16,8 +16,13 @@
  *
  * Journal layout: a sealed journal (common/durable_file.hh) whose
  * line 1 is a header describing the sweep configuration (scale, LLC
- * geometry, policy list) so a stale journal cannot silently
- * contaminate a different sweep; every following line is one cell.
+ * geometry, policy list, whether cells are characterized) so a stale
+ * journal cannot silently contaminate a different sweep; every
+ * following line is one cell.  An uncharacterized journal's header
+ * ends in "characterize":false and its cell lines carry no
+ * characterization arrays; a header without the key is a
+ * characterized journal, the only kind written before the key
+ * existed.
  * The torn final line of a killed run (or any rotted line) fails its
  * seal and is skipped, not trusted and not fatal.  A line that parses
  * but does not re-emit to the same bytes counts as torn too.
@@ -48,6 +53,8 @@ struct CheckpointMeta
     std::uint32_t llcWays = 0;
     std::uint32_t llcBanks = 0;
     std::vector<std::string> policies;
+    /** Cells carry a characterization (SweepJobSpec::characterize). */
+    bool characterize = false;
 
     bool operator==(const CheckpointMeta &other) const = default;
 };
@@ -70,18 +77,22 @@ struct CheckpointContents
 
 /**
  * Serialize one completed cell as a sealed journal line (trailing
- * "line_hash" checksum and newline included).  The sweep service's
- * worker protocol reuses these exact bytes as its result frames, so
- * a cell survives a socket the same way it survives a crash.
+ * "line_hash" checksum and newline included), with the
+ * characterization arrays when the cell has one.  The sweep
+ * service's worker protocol reuses these exact bytes as its result
+ * frames, so a cell survives a socket the same way it survives a
+ * crash.
  */
 std::string checkpointCellLine(const SweepCell &cell);
 
 /**
- * Parse and verify one sealed cell line ('\n' optional); false on any
- * deviation (torn tail, bit rot, wrong shape) — the caller skips,
- * never trusts, a bad line.
+ * Parse and verify one sealed cell line ('\n' optional) of the shape
+ * @p characterized names; false on any deviation (torn tail, bit
+ * rot, the other shape) — the caller skips, never trusts, a bad
+ * line.
  */
-bool parseCheckpointCellLine(const std::string &line, SweepCell &cell);
+bool parseCheckpointCellLine(const std::string &line, bool characterized,
+                             SweepCell &cell);
 
 /**
  * Parse a journal.  Io/Corrupt errors cover an unreadable file or
@@ -114,7 +125,7 @@ class CheckpointWriter
     CheckpointWriter(const std::string &path,
                      const CheckpointMeta &meta, bool append);
 
-    /** Journal one completed cell. */
+    /** Journal one completed cell, of the shape the header names. */
     void append(const SweepCell &cell);
 
     /** fsync what was appended. */
@@ -125,6 +136,7 @@ class CheckpointWriter
 
   private:
     SealedJournal journal_;
+    bool characterize_;
 };
 
 } // namespace gllc

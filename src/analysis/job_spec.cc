@@ -61,6 +61,8 @@ SweepJobSpec::identityJson() const
     appendScaleJson(out, scaleLinear, scatterPages);
     out += ",\"llc_bytes\":";
     out += std::to_string(llcBytes);
+    out += ",\"characterize\":";
+    out += boolWord(characterize);
     out += '}';
     return out;
 }
@@ -164,6 +166,7 @@ SweepJobSpec::checkpointMeta() const
     meta.llcWays = llc.ways;
     meta.llcBanks = llc.banks;
     meta.policies = policies;
+    meta.characterize = characterize;
     return meta;
 }
 
@@ -215,11 +218,12 @@ parseSweepJobSpec(const std::string &json)
                      "job spec must be a JSON object");
 
     SweepJobSpec spec;
-    bool saw_version = false;
+    std::uint64_t version = 0;  // 0 = not seen
     bool saw_policies = false;
     bool saw_frames = false;
     bool saw_scale = false;
     bool saw_llc = false;
+    bool saw_characterize = false;
     std::set<std::string> seen_keys;
 
     for (const auto &[key, value] : doc.members()) {
@@ -235,12 +239,12 @@ parseSweepJobSpec(const std::string &json)
             Result<std::uint64_t> v = value.asU64(key.c_str());
             if (!v.ok())
                 return v.error();
-            if (v.value() != SweepJobSpec::kVersion)
+            if (v.value() != 1 && v.value() != SweepJobSpec::kVersion)
                 return Error::format(
                     ErrorCode::BadVersion,
                     "job spec version %llu unsupported",
                     static_cast<unsigned long long>(v.value()));
-            saw_version = true;
+            version = v.value();
         } else if (key == "policies") {
             if (!value.isArray())
                 return Error(ErrorCode::InvalidArgument,
@@ -303,11 +307,17 @@ parseSweepJobSpec(const std::string &json)
                 return v.error();
             spec.llcBytes = v.value();
             saw_llc = true;
-        } else if (key == "collect_dram_trace") {
+        } else if (key == "characterize"
+                   || key == "collect_dram_trace") {
             Result<bool> v = value.asBool(key.c_str());
             if (!v.ok())
                 return v.error();
-            spec.collectDramTrace = v.value();
+            if (key == "characterize") {
+                spec.characterize = v.value();
+                saw_characterize = true;
+            } else {
+                spec.collectDramTrace = v.value();
+            }
         } else if (key == "threads" || key == "frame_window"
                    || key == "retries" || key == "backoff_ms"
                    || key == "cell_timeout_ms") {
@@ -345,13 +355,21 @@ parseSweepJobSpec(const std::string &json)
         }
     }
 
-    if (!saw_version)
+    if (version == 0)
         return Error(ErrorCode::BadMagic,
                      "not a job spec: missing gllc_sweep_job");
-    if (!saw_policies || !saw_frames || !saw_scale || !saw_llc)
+    if (version == 1) {
+        if (saw_characterize)
+            return Error(ErrorCode::InvalidArgument,
+                         "characterize is not a version 1 key");
+        spec.characterize = true;
+        saw_characterize = true;
+    }
+    if (!saw_policies || !saw_frames || !saw_scale || !saw_llc
+        || !saw_characterize)
         return Error(ErrorCode::InvalidArgument,
                      "job spec missing identity fields (policies, "
-                     "frames, scale, llc_bytes)");
+                     "frames, scale, llc_bytes, characterize)");
     return spec;
 }
 

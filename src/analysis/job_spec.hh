@@ -14,7 +14,8 @@
  *    whitespace variance, so equal specs serialize byte-identically
  *    and parseSweepJobSpec(toJson()) is the identity;
  *  - stable hashes: contentHash() covers exactly the fields that
- *    determine replay results (policies, frames, scale, LLC size) —
+ *    determine replay results (policies, frames, scale, LLC size,
+ *    whether cells are characterized) —
  *    execution knobs like thread counts or retry budgets are
  *    excluded because results are bit-identical across them — and
  *    traceHash() covers the subset that determines the rendered
@@ -56,8 +57,12 @@ using SweepJobFrame = FrameRef;
 /** The plain-data description of one sweep job. */
 struct SweepJobSpec
 {
-    /** Format version pinned into the canonical JSON and hashes. */
-    static constexpr std::uint32_t kVersion = 1;
+    /**
+     * Format version pinned into the canonical JSON and hashes.
+     * Version 2 added `characterize`; a version 1 document parses as
+     * a characterized job, since version 1 characterized every cell.
+     */
+    static constexpr std::uint32_t kVersion = 2;
 
     // --- identity: these determine the replay results -----------
 
@@ -75,6 +80,13 @@ struct SweepJobSpec
 
     /** Unscaled LLC capacity in bytes (8 MB paper baseline). */
     std::uint64_t llcBytes = 8ull << 20;
+
+    /**
+     * Declared output: run the Characterizer in every cell (the
+     * Section 2 reuse study, Figs. 4-9 and 13).  Off, cells replay
+     * unobserved and carry statistics and fills only.
+     */
+    bool characterize = false;
 
     // --- execution knobs: change how, never what, is computed ---
     //

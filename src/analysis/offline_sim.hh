@@ -8,13 +8,14 @@
  * frame" (Section 2).  runTrace() is that component: it builds a
  * BankedLlc for one policy and replays the trace through the access
  * path instantiated on that policy's class (analysis/policy_types.hh),
- * with the Characterizer as observer unless RunOptions turns it off.
+ * with the Characterizer as observer only when RunOptions asks for it.
  */
 
 #ifndef GLLC_ANALYSIS_OFFLINE_SIM_HH
 #define GLLC_ANALYSIS_OFFLINE_SIM_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/characterizer.hh"
@@ -30,8 +31,8 @@ struct RunResult
 {
     LlcStats stats;
 
-    /** Left empty when RunOptions::characterize is off. */
-    Characterization characterization;
+    /** Present only when RunOptions::characterize was on. */
+    std::optional<Characterization> characterization;
     FillHistogram fills;
 
     /**
@@ -50,10 +51,10 @@ struct RunOptions
 
     /**
      * Run the Characterizer and fill RunResult::characterization.
-     * Off, the replay observes nothing (NullAccessObserver); callers
-     * that never read the characterization switch it off.
+     * Off, the replay observes nothing (NullAccessObserver), which
+     * is what a caller that reads only statistics wants.
      */
-    bool characterize = true;
+    bool characterize = false;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "analysis/report.hh"
 
+#include <optional>
 #include <ostream>
 
 namespace gllc
@@ -51,16 +52,21 @@ writeSweepCsv(const SweepResult &result, std::ostream &os)
        << "inter_tex_hits,intra_tex_hits,error\n";
     for (const SweepCell &cell : result.cells()) {
         const LlcStats &s = cell.result.stats;
-        const Characterization &ch = cell.result.characterization;
         os << cell.key.app << ',' << cell.key.frameIndex << ','
            << cell.key.policy
            << ",ok," << cell.attempts << ',' << s.totalAccesses()
            << ',' << s.totalHits() << ',' << s.totalMisses() << ','
            << s.writebacks << ',' << s.hitRate(StreamType::Texture)
            << ',' << s.hitRate(StreamType::RenderTarget) << ','
-           << s.hitRate(StreamType::Z) << ',' << ch.rtProductions
-           << ',' << ch.rtConsumptions << ',' << ch.interTexHits
-           << ',' << ch.intraTexHits << ",\n";
+           << s.hitRate(StreamType::Z) << ',';
+        // An uncharacterized cell leaves its columns empty, not 0.
+        if (const std::optional<Characterization> &ch =
+                cell.result.characterization)
+            os << ch->rtProductions << ',' << ch->rtConsumptions << ','
+               << ch->interTexHits << ',' << ch->intraTexHits;
+        else
+            os << ",,,";
+        os << ",\n";
     }
     // Quarantined cells ride in the same table (a downstream
     // join on app/frame/policy must see the hole, not infer it):
@@ -91,7 +97,6 @@ writeSweepJson(const SweepResult &result, std::ostream &os)
     for (std::size_t i = 0; i < result.cells().size(); ++i) {
         const SweepCell &cell = result.cells()[i];
         const LlcStats &s = cell.result.stats;
-        const Characterization &ch = cell.result.characterization;
         os << "    {\"app\": \"" << jsonEscape(cell.key.app)
            << "\", \"frame\": " << cell.key.frameIndex
            << ", \"policy\": \"" << jsonEscape(cell.key.policy)
@@ -102,12 +107,15 @@ writeSweepJson(const SweepResult &result, std::ostream &os)
            << ", \"tex_hit_rate\": " << s.hitRate(StreamType::Texture)
            << ", \"rt_hit_rate\": "
            << s.hitRate(StreamType::RenderTarget)
-           << ", \"z_hit_rate\": " << s.hitRate(StreamType::Z)
-           << ", \"rt_productions\": " << ch.rtProductions
-           << ", \"rt_consumptions\": " << ch.rtConsumptions
-           << ", \"inter_tex_hits\": " << ch.interTexHits
-           << ", \"intra_tex_hits\": " << ch.intraTexHits
-           << ", \"attempts\": " << cell.attempts << "}"
+           << ", \"z_hit_rate\": " << s.hitRate(StreamType::Z);
+        // An uncharacterized cell has no characterization keys.
+        if (const std::optional<Characterization> &ch =
+                cell.result.characterization)
+            os << ", \"rt_productions\": " << ch->rtProductions
+               << ", \"rt_consumptions\": " << ch->rtConsumptions
+               << ", \"inter_tex_hits\": " << ch->interTexHits
+               << ", \"intra_tex_hits\": " << ch->intraTexHits;
+        os << ", \"attempts\": " << cell.attempts << "}"
            << (i + 1 < result.cells().size() ? "," : "") << '\n';
     }
     os << "  ],\n  \"quarantined\": [";

@@ -26,12 +26,14 @@ namespace gllc
  *   app,frame,policy,accesses,hits,misses,writebacks,
  *   tex_hit_rate,rt_hit_rate,z_hit_rate,
  *   rt_productions,rt_consumptions,inter_tex_hits,intra_tex_hits
+ * The last four are empty for a cell without a characterization.
  */
 void writeSweepCsv(const SweepResult &result, std::ostream &os);
 
 /**
  * Write the sweep as one JSON object: {"scale", "llc", "policies",
- * "cells"} where cells carry the same fields as the CSV rows.
+ * "cells"} where cells carry the same fields as the CSV rows, the
+ * characterization keys only when the cell has one.
  */
 void writeSweepJson(const SweepResult &result, std::ostream &os);
 

@@ -286,6 +286,13 @@ SweepConfig::scale(const RenderScale &scale)
 }
 
 SweepConfig &
+SweepConfig::characterize(bool enabled)
+{
+    spec_.characterize = enabled;
+    return *this;
+}
+
+SweepConfig &
 SweepConfig::collectDramTrace(bool collect)
 {
     spec_.collectDramTrace = collect;
@@ -477,6 +484,7 @@ SweepConfig::run(const CellObserver &observer) const
              {"policy", cell.key.policy}});
         RunOptions options;
         options.collectDramTrace = job.collectDramTrace;
+        options.characterize = job.characterize;
         if (auditActive()) {
             // Name the cell in any audit report, so a violation in a
             // concurrent sweep aborts with its exact coordinates.

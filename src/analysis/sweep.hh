@@ -244,6 +244,13 @@ class SweepConfig
     /** Render scale override (default: GLLC_SCALE). */
     SweepConfig &scale(const RenderScale &scale);
 
+    /**
+     * Characterize every cell (RunResult::characterization); off by
+     * default, so a sweep that reads only statistics replays
+     * unobserved.
+     */
+    SweepConfig &characterize(bool enabled);
+
     /** Collect the DRAM trace of every replay (timing benches). */
     SweepConfig &collectDramTrace(bool collect);
 

@@ -115,6 +115,7 @@ class JsonLeaves
     std::string str();
 
     bool done() const { return next_ == leaves_.size(); }
+    std::size_t remaining() const { return leaves_.size() - next_; }
     bool ok() const { return ok_; }
 
   private:

@@ -46,7 +46,6 @@ simulateFrame(const FrameTrace &trace, const PolicySpec &policy,
         // known only once the replay is over: collect the trace.
         RunOptions options;
         options.collectDramTrace = true;
-        options.characterize = false;
         const RunResult run = runTrace(trace, policy, llc, options);
         result.llcStats = run.stats;
         result.timing =

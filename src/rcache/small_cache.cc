@@ -59,25 +59,12 @@ SmallCache::allocate(Addr tag, std::size_t set, bool is_write,
         return;
     }
 
-    const std::size_t row = set * stride_;
-    Addr *tags = &tags_[row];
-    std::uint8_t *ages = &ages_[row];
-    Meta *meta = &meta_[row];
-    Set &state = setState_[set];
-
-    // Victim: the lowest invalid way while the set fills, else the
-    // LRU way.
-    std::uint32_t way = state.live;
-    if (way < ways_) {
-        ++state.live;
-    } else {
-        way = firstByteEqual(ages, stride_,
-                             static_cast<std::uint8_t>(ways_ - 1));
-        if (meta[way].dirty) {
-            ++stats_.writebacks;
-            out.emplace_back(tags[way] << kBlockShift, meta[way].stream,
-                             true, cycle);
-        }
+    const std::uint32_t way = victimWay(set);
+    const std::size_t victim = set * stride_ + way;
+    if (way < setState_[set].live && meta_[victim].dirty) {
+        ++stats_.writebacks;
+        out.emplace_back(tags_[victim] << kBlockShift,
+                         meta_[victim].stream, true, cycle);
     }
 
     // Read misses fetch the block from the LLC.  Store misses
@@ -87,11 +74,44 @@ SmallCache::allocate(Addr tag, std::size_t set, bool is_write,
     if (!is_write)
         out.emplace_back(block, stream, false, cycle);
 
+    install(tag, set, way, stream, is_write);
+}
+
+void
+SmallCache::fillClean(Addr tag, std::size_t set, StreamType stream)
+{
+    const std::uint32_t way = victimWay(set);
+    GLLC_ASSERT_MSG(way >= setState_[set].live
+                        || !meta_[set * stride_ + way].dirty,
+                    "%s: a clean fill displaced a dirty block",
+                    name_.c_str());
+    install(tag, set, way, stream, false);
+}
+
+std::uint32_t
+SmallCache::victimWay(std::size_t set) const
+{
+    const std::uint32_t live = setState_[set].live;
+    if (live < ways_)
+        return live;
+    return firstByteEqual(&ages_[set * stride_], stride_,
+                          static_cast<std::uint8_t>(ways_ - 1));
+}
+
+void
+SmallCache::install(Addr tag, std::size_t set, std::uint32_t way,
+                    StreamType stream, bool dirty)
+{
+    const std::size_t row = set * stride_;
+    Set &state = setState_[set];
+    if (way == state.live)
+        ++state.live;
+    std::uint8_t *ages = &ages_[row];
     incrementBytesBelow(ages, stride_, ages[way]);
     ages[way] = 0;
-    tags[way] = tag;
+    tags_[row + way] = tag;
     lowTags_[row + way] = static_cast<std::uint32_t>(tag);
-    meta[way] = Meta{stream, is_write};
+    meta_[row + way] = Meta{stream, dirty};
     state.mru = static_cast<std::uint8_t>(way);
 }
 

@@ -79,26 +79,33 @@ class SmallCache
     access(Addr addr, bool is_write, StreamType stream,
            std::uint32_t cycle, std::vector<MemAccess> &out)
     {
-        ++stats_.accesses;
         const Addr tag = blockNumber(addr);
         const auto set = static_cast<std::size_t>(tag & (sets_ - 1));
-        const std::size_t row = set * stride_;
-        // The MRU way is aged 0 already; a flushed set's tags are
-        // kNoTag.
-        std::size_t slot = row + setState_[set].mru;
-        if (tags_[slot] != tag) {
-            slot = findSlot(row, tag);
-            if (slot == kNoSlot) {
-                allocate(tag, set, is_write, stream, cycle, out);
-                return false;
-            }
-            incrementBytesBelow(&ages_[row], stride_, ages_[slot]);
-            ages_[slot] = 0;
-            setState_[set].mru = static_cast<std::uint8_t>(slot - row);
+        const std::size_t slot = touch(tag, set);
+        if (slot == kNoSlot) {
+            allocate(tag, set, is_write, stream, cycle, out);
+            return false;
         }
-        ++stats_.hits;
         meta_[slot].dirty = meta_[slot].dirty || is_write;
         return true;
+    }
+
+    /**
+     * A read that emits nothing: a hit as in access(); a miss fills
+     * the block clean and leaves forwarding it to the caller.  For
+     * the levels of a read-only hierarchy, whose misses go to the
+     * next level and which never hold a dirty block to write back.
+     * @return true on hit
+     */
+    bool
+    readNoTraffic(Addr addr, StreamType stream)
+    {
+        const Addr tag = blockNumber(addr);
+        const auto set = static_cast<std::size_t>(tag & (sets_ - 1));
+        if (touch(tag, set) != kNoSlot)
+            return true;
+        fillClean(tag, set, stream);
+        return false;
     }
 
     /**
@@ -117,6 +124,30 @@ class SmallCache
     static constexpr Addr kNoTag = ~Addr{0};
 
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /**
+     * Count an access to @p tag in @p set and, on a hit, make its
+     * way the MRU one.  @return the hit slot, or kNoSlot on a miss
+     */
+    std::size_t
+    touch(Addr tag, std::size_t set)
+    {
+        ++stats_.accesses;
+        const std::size_t row = set * stride_;
+        // The MRU way is aged 0 already; a flushed set's tags are
+        // kNoTag.
+        std::size_t slot = row + setState_[set].mru;
+        if (tags_[slot] != tag) {
+            slot = findSlot(row, tag);
+            if (slot == kNoSlot)
+                return kNoSlot;
+            incrementBytesBelow(&ages_[row], stride_, ages_[slot]);
+            ages_[slot] = 0;
+            setState_[set].mru = static_cast<std::uint8_t>(slot - row);
+        }
+        ++stats_.hits;
+        return slot;
+    }
 
     /** Slot of @p tag in the set whose row starts at @p row. */
     std::size_t
@@ -141,6 +172,19 @@ class SmallCache
     void allocate(Addr tag, std::size_t set, bool is_write,
                   StreamType stream, std::uint32_t cycle,
                   std::vector<MemAccess> &out);
+
+    /** The miss path of readNoTraffic(): fill @p tag clean. */
+    void fillClean(Addr tag, std::size_t set, StreamType stream);
+
+    /**
+     * The way a fill of @p set takes: the lowest invalid way while
+     * the set fills, else the LRU way.
+     */
+    std::uint32_t victimWay(std::size_t set) const;
+
+    /** Make @p tag the MRU block of @p set, in @p way. */
+    void install(Addr tag, std::size_t set, std::uint32_t way,
+                 StreamType stream, bool dirty);
 
     /** Per-block state, parallel to the tag array. */
     struct Meta

@@ -50,16 +50,14 @@ class TextureHierarchy
          std::vector<MemAccess> &out)
     {
         GLLC_ASSERT(sampler < l1_.size());
-        // Fills between levels stay inside the hierarchy.
-        scratch_.clear();
-        if (l1_[sampler].access(addr, false, StreamType::Texture, cycle,
-                                scratch_))
+        // A level's miss is the next level's read; only an L3 miss
+        // leaves the hierarchy.
+        if (l1_[sampler].readNoTraffic(addr, StreamType::Texture))
             return 1;
-        if (l2_[clusterOf_[sampler]].access(addr, false,
-                                            StreamType::Texture, cycle,
-                                            scratch_))
+        if (l2_[clusterOf_[sampler]].readNoTraffic(addr,
+                                                   StreamType::Texture))
             return 2;
-        if (l3_.access(addr, false, StreamType::Texture, cycle, scratch_))
+        if (l3_.readNoTraffic(addr, StreamType::Texture))
             return 3;
         out.emplace_back(blockAlign(addr), StreamType::Texture, false,
                          cycle);
@@ -83,8 +81,6 @@ class TextureHierarchy
     std::vector<SmallCache> l2_;               ///< by cluster
     SmallCache l3_;
     std::vector<std::uint32_t> clusterOf_;     ///< by sampler
-    /** Scratch vector: L1/L2 misses are consumed internally. */
-    std::vector<MemAccess> scratch_;
 };
 
 } // namespace gllc

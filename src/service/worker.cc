@@ -572,7 +572,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
 
             note_frame_source(takeFrameSource(line));
             SweepCell cell;
-            if (parseCheckpointCellLine(line, cell)
+            if (parseCheckpointCellLine(line, spec.characterize, cell)
                 && cell.key == expect) {
                 out.cell = std::move(cell);
                 return "";
@@ -711,6 +711,8 @@ runSweepWorker(const std::string &trace_cache_dir)
     const std::vector<PolicySpec> policies =
         spec.policySpecs().takeOrFatal();
     const std::vector<FrameSpec> frames = spec.frameSpecs().takeOrFatal();
+    RunOptions options;
+    options.characterize = spec.characterize;
 
     // Trace context (set by the optional trace line): where this
     // worker's spans go and how to land them on the daemon's clock.
@@ -838,7 +840,8 @@ runSweepWorker(const std::string &trace_cache_dir)
                 source = loaded ? "cache" : "render";
                 render.arg("source", source);
             }
-            cell.result = runTrace(rendered->second, policy, llc);
+            cell.result =
+                runTrace(rendered->second, policy, llc, options);
         });
         std::string reply = source.empty() ? "" : source + ' ';
         reply += error.empty()

@@ -23,7 +23,9 @@
  *                        success: checkpointCellLine() bytes — the
  *                          same sealed line a checkpoint journal
  *                          holds, so a cell survives a pipe exactly
- *                          the way it survives a crash
+ *                          the way it survives a crash; it carries
+ *                          the characterization arrays only when
+ *                          the spec declares characterize
  *                        failure: {"failed":1,...} sealed the same
  *                          way, carrying the error text
  *                      a cell that loaded its frame (rather than

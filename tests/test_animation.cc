@@ -70,7 +70,8 @@ TEST(Animation, ReplaysThroughTheLlc)
     const AppProfile &app = paperApps().front();
     const FrameTrace anim = renderAnimation(app, 2, tinyScale());
     const LlcConfig llc = scaledLlcConfig(8ull << 20, 64);
-    const RunResult r = runTrace(anim, policySpec("GSPC+UCD"), llc);
+    const RunResult r = runTrace(anim, policySpec("GSPC+UCD"), llc,
+                                 {.characterize = true});
     EXPECT_EQ(r.stats.totalAccesses(), anim.accesses.size());
-    EXPECT_GT(r.characterization.rtConsumptions, 0u);
+    EXPECT_GT(r.characterization.value().rtConsumptions, 0u);
 }

@@ -31,6 +31,7 @@ sampleMeta()
     meta.llcWays = 16;
     meta.llcBanks = 4;
     meta.policies = {"DRRIP", "GSPC \"quoted\""};
+    meta.characterize = true;
     return meta;
 }
 
@@ -50,7 +51,7 @@ sampleCell(std::uint32_t frame)
     }
     s.writebacks = 777 + frame;
     s.evictions = 888;
-    Characterization &ch = cell.result.characterization;
+    Characterization &ch = cell.result.characterization.emplace();
     ch.interTexHits = 11;
     ch.intraTexHits = 22;
     ch.rtProductions = 33;
@@ -86,15 +87,7 @@ expectCellEqual(const SweepCell &a, const SweepCell &b)
     }
     EXPECT_EQ(a.result.stats.writebacks, b.result.stats.writebacks);
     EXPECT_EQ(a.result.stats.evictions, b.result.stats.evictions);
-    const Characterization &ca = a.result.characterization;
-    const Characterization &cb = b.result.characterization;
-    EXPECT_EQ(ca.interTexHits, cb.interTexHits);
-    EXPECT_EQ(ca.intraTexHits, cb.intraTexHits);
-    EXPECT_EQ(ca.rtProductions, cb.rtProductions);
-    EXPECT_EQ(ca.rtConsumptions, cb.rtConsumptions);
-    EXPECT_EQ(ca.texEpochHits, cb.texEpochHits);
-    EXPECT_EQ(ca.texReach, cb.texReach);
-    EXPECT_EQ(ca.zReach, cb.zReach);
+    EXPECT_EQ(a.result.characterization, b.result.characterization);
     EXPECT_EQ(a.result.fills.counts, b.result.fills.counts);
 }
 
@@ -318,12 +311,21 @@ replaceOnce(std::string &text, const std::string &from,
     text.replace(pos, from.size(), to);
 }
 
-/** Whether @p line parses as a cell. */
+/** Whether @p line parses as a characterized cell. */
 bool
 parses(const std::string &line)
 {
     SweepCell cell;
-    return parseCheckpointCellLine(line, cell);
+    return parseCheckpointCellLine(line, true, cell);
+}
+
+/** sampleCell() without its characterization. */
+SweepCell
+uncharacterizedCell(std::uint32_t frame)
+{
+    SweepCell cell = sampleCell(frame);
+    cell.result.characterization.reset();
+    return cell;
 }
 
 } // namespace
@@ -373,4 +375,75 @@ TEST(Checkpoint, CounterOfTwoToTheFiftyThreeIsTorn)
     EXPECT_TRUE(parses(checkpointCellLine(cell)));
     cell.result.stats.writebacks = 1ull << 53;
     EXPECT_FALSE(parses(checkpointCellLine(cell)));
+}
+
+TEST(Checkpoint, UncharacterizedCellLineRoundTrips)
+{
+    const SweepCell want = uncharacterizedCell(3);
+    const std::string line = checkpointCellLine(want);
+    EXPECT_EQ(line.find("\"chz\""), std::string::npos);
+    EXPECT_EQ(line.find("\"tex_reach\""), std::string::npos);
+
+    SweepCell got;
+    ASSERT_TRUE(parseCheckpointCellLine(line, false, got));
+    expectCellEqual(got, want);
+    EXPECT_FALSE(got.result.characterization.has_value());
+}
+
+TEST(Checkpoint, LineOfTheOtherShapeIsTorn)
+{
+    SweepCell cell;
+    EXPECT_FALSE(parseCheckpointCellLine(
+        checkpointCellLine(uncharacterizedCell(0)), true, cell));
+    EXPECT_FALSE(parseCheckpointCellLine(
+        checkpointCellLine(sampleCell(0)), false, cell));
+}
+
+TEST(Checkpoint, DeclarationIsPartOfTheMeta)
+{
+    // A characterized header is the one written before the
+    // declaration existed; an uncharacterized one says so, and the
+    // two metas differ, so a resume under the other declaration is
+    // refused like any other configuration mismatch.
+    CheckpointMeta plain = sampleMeta();
+    plain.characterize = false;
+    for (const CheckpointMeta &meta : {sampleMeta(), plain}) {
+        const std::string path = tempJournal("declared");
+        {
+            CheckpointWriter writer(path, meta, false);
+            writer.append(meta.characterize ? sampleCell(0)
+                                            : uncharacterizedCell(0));
+        }
+        std::string header;
+        {
+            std::ifstream is(path, std::ios::binary);
+            std::getline(is, header);
+        }
+        EXPECT_EQ(header.find("characterize") == std::string::npos,
+                  meta.characterize)
+            << header;
+
+        Result<CheckpointContents> loaded = loadCheckpoint(path);
+        ASSERT_TRUE(loaded.ok()) << loaded.error().toString();
+        EXPECT_EQ(loaded.value().meta, meta);
+        EXPECT_EQ(loaded.value().cells.size(), 1u);
+        EXPECT_EQ(loaded.value().skippedLines, 0u);
+        std::remove(path.c_str());
+    }
+    EXPECT_NE(sampleMeta(), plain);
+}
+
+TEST(CheckpointDeathTest, CellOfTheOtherShapeIsNotJournaled)
+{
+#ifdef GLLC_DISABLE_ASSERTS
+    GTEST_SKIP() << "GLLC_ASSERT compiled out (-DGLLC_ASSERTS=OFF)";
+#endif
+    const std::string path = tempJournal("shape");
+    EXPECT_DEATH(
+        {
+            CheckpointWriter writer(path, sampleMeta(), false);
+            writer.append(uncharacterizedCell(0));
+        },
+        "does not have the journal's shape");
+    std::remove(path.c_str());
 }

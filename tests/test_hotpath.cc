@@ -87,7 +87,7 @@ resultDigest(const RunResult &r)
     fold(h, r.stats.writebacks);
     fold(h, r.stats.evictions);
 
-    const Characterization &c = r.characterization;
+    const Characterization &c = r.characterization.value();
     fold(h, c.interTexHits);
     fold(h, c.intraTexHits);
     fold(h, c.rtProductions);
@@ -187,8 +187,8 @@ TEST(HotpathGolden, AllPolicyVariantsMatchPinnedDigests)
     const std::vector<PolicySpec> specs = allPolicySpecs();
     EXPECT_EQ(specs.size(), kPolicyDigests.size());
     for (const PolicySpec &spec : specs) {
-        const std::uint64_t digest =
-            resultDigest(runTrace(trace, spec, config));
+        const std::uint64_t digest = resultDigest(
+            runTrace(trace, spec, config, {.characterize = true}));
         const auto pinned = kPolicyDigests.find(spec.name);
         ASSERT_NE(pinned, kPolicyDigests.end()) << spec.name;
         EXPECT_EQ(digest, pinned->second)
@@ -220,18 +220,21 @@ TEST(HotpathBitIdentity, DecisionLoggingUnperturbed)
     const LlcConfig config = smallConfig();
     const PolicySpec spec = policySpec("GSPC");
 
-    const RunResult base = runTrace(trace, spec, config);
+    const RunResult base =
+        runTrace(trace, spec, config, {.characterize = true});
 
     DecisionLog::setDepth(128);
     DecisionLog::local().clear();
-    const RunResult logged = runTrace(trace, spec, config);
+    const RunResult logged =
+        runTrace(trace, spec, config, {.characterize = true});
     const std::size_t recorded = DecisionLog::local().size();
     DecisionLog::setDepth(0);
 
     EXPECT_EQ(recorded, 128u);
     expectStatsEqual(base.stats, logged.stats, "logged");
-    expectCharacterizationEqual(base.characterization,
-                                logged.characterization, "logged");
+    expectCharacterizationEqual(base.characterization.value(),
+                                logged.characterization.value(),
+                                "logged");
 }
 
 /** Same (length, seed) reproduces the synthetic trace exactly. */

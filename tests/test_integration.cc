@@ -111,11 +111,11 @@ TEST(Integration, ConsumptionRateOrdering)
         const FrameTrace t = renderFrame(paperApps()[i], 0, scale);
         for (const char *p :
              {"NRU", "DRRIP", "GSPZTC+TSE", "Belady"}) {
-            const auto r = runTrace(t, policySpec(p), llc);
-            cons[p] += static_cast<double>(
-                r.characterization.rtConsumptions);
-            prod[p] += static_cast<double>(
-                r.characterization.rtProductions);
+            const Characterization ch =
+                runTrace(t, policySpec(p), llc, {.characterize = true})
+                    .characterization.value();
+            cons[p] += static_cast<double>(ch.rtConsumptions);
+            prod[p] += static_cast<double>(ch.rtProductions);
         }
     }
     const auto rate = [&](const char *p) {
@@ -132,8 +132,9 @@ TEST(Integration, TextureEpochShape)
     // has a high death ratio.
     Characterization ch;
     for (const FrameTrace &t : frames())
-        ch.merge(runTrace(t, policySpec("Belady"), testLlc())
-                     .characterization);
+        ch.merge(runTrace(t, policySpec("Belady"), testLlc(),
+                          {.characterize = true})
+                     .characterization.value());
     EXPECT_GT(ch.texEpochHits[0], ch.texEpochHits[1]);
     EXPECT_GT(ch.texEpochHits[1], ch.texEpochHits[2]);
     EXPECT_GT(ch.texDeathRatio(0), 0.6);
@@ -145,8 +146,9 @@ TEST(Integration, ZEpochDeathDecreases)
     // justifying a single collective Z reuse probability.
     Characterization ch;
     for (const FrameTrace &t : frames())
-        ch.merge(runTrace(t, policySpec("Belady"), testLlc())
-                     .characterization);
+        ch.merge(runTrace(t, policySpec("Belady"), testLlc(),
+                          {.characterize = true})
+                     .characterization.value());
     EXPECT_GT(ch.zDeathRatio(0), ch.zDeathRatio(2));
 }
 

@@ -35,6 +35,7 @@ sampleSpec()
     spec.scaleLinear = 8;
     spec.scatterPages = false;
     spec.llcBytes = 4ull << 20;
+    spec.characterize = true;
     spec.collectDramTrace = true;
     spec.threads = 3;
     spec.frameWindow = 6;
@@ -185,7 +186,7 @@ TEST(SweepJobSpec, GarbageIsCorrupt)
 TEST(SweepJobSpec, GoldenContentHashesArePinned)
 {
     const SweepJobSpec spec = sampleSpec();
-    EXPECT_EQ(spec.contentHash(), UINT64_C(0x0c6a56f75e6f2227));
+    EXPECT_EQ(spec.contentHash(), UINT64_C(0x434509dd29f7485d));
     EXPECT_EQ(spec.traceHash(), UINT64_C(0xa94cfa79eb367088));
 }
 
@@ -210,6 +211,45 @@ TEST(SweepJobSpec, ContentHashCoversIdentityOnly)
     rescaled.scaleLinear *= 2;
     EXPECT_NE(rescaled.contentHash(), base.contentHash());
     EXPECT_NE(rescaled.traceHash(), base.traceHash());
+
+    // A declared output is part of what a job computes, so it is
+    // part of the result-store key; the traces stay the same.
+    SweepJobSpec undeclared = base;
+    undeclared.characterize = false;
+    EXPECT_NE(undeclared.contentHash(), base.contentHash());
+    EXPECT_EQ(undeclared.traceHash(), base.traceHash());
+}
+
+TEST(SweepJobSpec, VersionOneSpecParsesAsCharacterized)
+{
+    // Version 1 characterized every cell, so its jobs still do.
+    const std::string v1 =
+        "{\"gllc_sweep_job\":1,\"policies\":[\"DRRIP+UCD\"],"
+        "\"frames\":[{\"app\":\"DMC\",\"frame\":0}],"
+        "\"scale\":{\"linear\":4,\"scatter_pages\":true},"
+        "\"llc_bytes\":1048576}";
+    Result<SweepJobSpec> spec = parseSweepJobSpec(v1);
+    ASSERT_TRUE(spec.ok()) << spec.error().toString();
+    EXPECT_TRUE(spec.value().characterize);
+    // Re-serialized, it is a version 2 spec that declares it.
+    EXPECT_NE(spec.value().toJson().find(
+                  "\"gllc_sweep_job\":2,"),
+              std::string::npos);
+    EXPECT_NE(spec.value().toJson().find("\"characterize\":true"),
+              std::string::npos);
+
+    // The key is version 2's: a version 1 document cannot carry it,
+    // and a version 2 document must.
+    std::string v1_declared = v1;
+    v1_declared.insert(v1.size() - 1, ",\"characterize\":false");
+    EXPECT_FALSE(parseSweepJobSpec(v1_declared).ok());
+    std::string v2_undeclared = v1;
+    v2_undeclared.replace(v1.find(":1,"), 3, ":2,");
+    EXPECT_FALSE(parseSweepJobSpec(v2_undeclared).ok());
+    std::string v2 = v1_declared;
+    v2.replace(v2.find(":1,"), 3, ":2,");
+    ASSERT_TRUE(parseSweepJobSpec(v2).ok());
+    EXPECT_FALSE(parseSweepJobSpec(v2).value().characterize);
 }
 
 TEST(SweepJobSpec, ValidateRejectsUnknownNames)

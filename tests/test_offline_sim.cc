@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <typeindex>
 #include <typeinfo>
 
 #include "analysis/offline_sim.hh"
 #include "analysis/policy_types.hh"
+#include "workload/app_profile.hh"
+#include "workload/frame_set.hh"
 
 using namespace gllc;
 
@@ -113,11 +117,12 @@ TEST(OfflineSim, UnlistedPolicyReplaysThroughTheVirtualHooks)
 TEST(OfflineSim, StatsCoverWholeTrace)
 {
     const FrameTrace t = syntheticTrace();
-    const RunResult r = runTrace(t, policySpec("DRRIP"), tinyLlc());
+    const RunResult r = runTrace(t, policySpec("DRRIP"), tinyLlc(),
+                                 {.characterize = true});
     EXPECT_EQ(r.stats.totalAccesses(), t.accesses.size());
     // Everything fits in 1024 blocks: texture reads all hit.
     EXPECT_EQ(r.stats.of(StreamType::Texture).hits, 64u);
-    EXPECT_EQ(r.characterization.rtConsumptions, 64u);
+    EXPECT_EQ(r.characterization.value().rtConsumptions, 64u);
 }
 
 TEST(OfflineSim, BeladyOracleBuiltOnDemand)
@@ -171,22 +176,32 @@ TEST(OfflineSim, DramTraceIncludesWritebacks)
     EXPECT_EQ(r.stats.writebacks, r.dramTrace.size() - 1024u);
 }
 
+TEST(OfflineSim, CharacterizationIsComputedOnlyWhenAskedFor)
+{
+    const FrameTrace t = syntheticTrace();
+    EXPECT_FALSE(runTrace(t, policySpec("DRRIP"), tinyLlc())
+                     .characterization.has_value());
+    EXPECT_TRUE(runTrace(t, policySpec("DRRIP"), tinyLlc(),
+                         {.characterize = true})
+                    .characterization.has_value());
+}
+
 TEST(OfflineSim, CharacterizeOffKeepsReplayIdentical)
 {
     // The observer only watches: without the Characterizer the
-    // replay's stats and DRAM traffic are the same, and the
-    // characterization stays empty.
+    // replay's stats and DRAM traffic are the same, and there is no
+    // characterization.
     const FrameTrace t = syntheticTrace();
     RunOptions options;
     options.collectDramTrace = true;
+    options.characterize = true;
     const RunResult with =
         runTrace(t, policySpec("GSPC+UCD"), tinyLlc(), options);
     options.characterize = false;
     const RunResult without =
         runTrace(t, policySpec("GSPC+UCD"), tinyLlc(), options);
-    EXPECT_GT(with.characterization.rtConsumptions, 0u);
-    EXPECT_EQ(without.characterization.rtProductions, 0u);
-    EXPECT_EQ(without.characterization.rtConsumptions, 0u);
+    EXPECT_GT(with.characterization.value().rtConsumptions, 0u);
+    EXPECT_FALSE(without.characterization.has_value());
     EXPECT_EQ(with.stats.totalMisses(), without.stats.totalMisses());
     EXPECT_EQ(with.stats.writebacks, without.stats.writebacks);
     ASSERT_EQ(with.dramTrace.size(), without.dramTrace.size());
@@ -241,9 +256,65 @@ TEST(OfflineSim, ScaledLlcConfig)
 TEST(OfflineSim, PoliciesAreIndependentAcrossRuns)
 {
     const FrameTrace t = syntheticTrace();
-    const RunResult a = runTrace(t, policySpec("GSPC"), tinyLlc());
-    const RunResult b = runTrace(t, policySpec("GSPC"), tinyLlc());
+    const RunResult a =
+        runTrace(t, policySpec("GSPC"), tinyLlc(), {.characterize = true});
+    const RunResult b =
+        runTrace(t, policySpec("GSPC"), tinyLlc(), {.characterize = true});
     EXPECT_EQ(a.stats.totalMisses(), b.stats.totalMisses());
-    EXPECT_EQ(a.characterization.rtConsumptions,
-              b.characterization.rtConsumptions);
+    EXPECT_EQ(a.characterization, b.characterization);
+}
+
+namespace
+{
+
+template <typename... Policies>
+constexpr std::size_t
+classCount(PolicyTypeList<Policies...>)
+{
+    return sizeof...(Policies);
+}
+
+} // namespace
+
+/**
+ * The characterizing and the unobserved replay are two compiled
+ * instantiations of one loop: for one registry policy of every
+ * ConcretePolicies class, on real frames, they agree on every
+ * statistic and fill count.
+ */
+TEST(OfflineSim, CharacterizedAndUnobservedReplaysAgreeForEveryClass)
+{
+    std::map<std::type_index, PolicySpec> by_class;
+    for (const PolicySpec &spec : allPolicySpecs())
+        by_class.try_emplace(
+            replayClassOf(BankedLlc(tinyLlc(), spec.factory)), spec);
+    ASSERT_EQ(by_class.size(), classCount(ConcretePolicies{}));
+
+    RenderScale scale;
+    scale.linear = 8;
+    const LlcConfig llc = scaledLlcConfig(8ull << 20, scale.pixelScale());
+    for (std::uint32_t frame = 0; frame < 2; ++frame) {
+        const FrameTrace t = renderFrame(paperApps()[0], frame, scale);
+        for (const auto &[type, spec] : by_class) {
+            SCOPED_TRACE(spec.name + " frame " + std::to_string(frame));
+            const RunResult with =
+                runTrace(t, spec, llc, {.characterize = true});
+            const RunResult without = runTrace(t, spec, llc);
+            ASSERT_TRUE(with.characterization.has_value());
+            EXPECT_FALSE(without.characterization.has_value());
+            for (std::size_t s = 0; s < kNumStreams; ++s) {
+                EXPECT_EQ(with.stats.stream[s].accesses,
+                          without.stats.stream[s].accesses);
+                EXPECT_EQ(with.stats.stream[s].hits,
+                          without.stats.stream[s].hits);
+                EXPECT_EQ(with.stats.stream[s].misses,
+                          without.stats.stream[s].misses);
+                EXPECT_EQ(with.stats.stream[s].bypasses,
+                          without.stats.stream[s].bypasses);
+            }
+            EXPECT_EQ(with.stats.writebacks, without.stats.writebacks);
+            EXPECT_EQ(with.stats.evictions, without.stats.evictions);
+            EXPECT_EQ(with.fills.counts, without.fills.counts);
+        }
+    }
 }

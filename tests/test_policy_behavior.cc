@@ -146,14 +146,18 @@ TEST(GspcUcd, DisplayBypassKeepsProdClean)
                                 false);
 
     const LlcConfig llc{64 * 1024, 16, 4};
-    const RunResult plain = runTrace(t, policySpec("GSPC"), llc);
-    const RunResult ucd = runTrace(t, policySpec("GSPC+UCD"), llc);
+    const Characterization plain =
+        runTrace(t, policySpec("GSPC"), llc, {.characterize = true})
+            .characterization.value();
+    const Characterization ucd =
+        runTrace(t, policySpec("GSPC+UCD"), llc, {.characterize = true})
+            .characterization.value();
 
     // With UCD, all RT productions are consumable and consumed.
-    EXPECT_EQ(ucd.characterization.rtProductions, 128u);
-    EXPECT_EQ(ucd.characterization.rtConsumptions, 128u);
+    EXPECT_EQ(ucd.rtProductions, 128u);
+    EXPECT_EQ(ucd.rtConsumptions, 128u);
     // Without UCD, the display fills pollute the production count.
-    EXPECT_GT(plain.characterization.rtProductions, 4000u);
+    EXPECT_GT(plain.rtProductions, 4000u);
 }
 
 TEST(GspcSamples, SampleSetsNeverConsultCounters)

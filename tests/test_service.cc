@@ -334,6 +334,49 @@ TEST_F(ServiceTest, ServedResultIsByteIdenticalToLocalRun)
     EXPECT_EQ(outcome.value().payload, expected);
 }
 
+TEST_F(ServiceTest, UndeclaredCharacterizationIsNotServed)
+{
+    const SweepJobSpec spec = tinySpec();
+    ASSERT_FALSE(spec.characterize);
+    startDaemon();
+    ServiceClient client = connect();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    const std::string &payload = outcome.value().payload;
+    EXPECT_EQ(payload, localPayload(spec));
+    for (const char *key : {"rt_productions", "rt_consumptions",
+                            "inter_tex_hits", "intra_tex_hits"})
+        EXPECT_EQ(payload.find(key), std::string::npos) << key;
+}
+
+/**
+ * tinySpec() with the characterization declared, as computed before
+ * the declaration existed, when every job characterized its cells.
+ */
+const char *const kCharacterizedTinyPayload = R"json({
+  "scale": 8,
+  "llc": {"capacity_bytes": 131072, "ways": 16, "banks": 4},
+  "policies": ["DRRIP+UCD"],
+  "cells": [
+    {"app": "3DMarkVAGT1", "frame": 0, "policy": "DRRIP+UCD", "accesses": 60451, "hits": 16736, "misses": 43715, "writebacks": 15025, "tex_hit_rate": 0.140338, "rt_hit_rate": 0.36728, "z_hit_rate": 0.480904, "rt_productions": 13420, "rt_consumptions": 1109, "inter_tex_hits": 1109, "intra_tex_hits": 2217, "attempts": 1},
+    {"app": "3DMarkVAGT1", "frame": 1, "policy": "DRRIP+UCD", "accesses": 62549, "hits": 17549, "misses": 45000, "writebacks": 15503, "tex_hit_rate": 0.144211, "rt_hit_rate": 0.350288, "z_hit_rate": 0.528537, "rt_productions": 13898, "rt_consumptions": 1219, "inter_tex_hits": 1219, "intra_tex_hits": 2311, "attempts": 1}
+  ],
+  "quarantined": []
+}
+)json";
+
+TEST_F(ServiceTest, DeclaredCharacterizationIsServedUnchanged)
+{
+    SweepJobSpec spec = tinySpec();
+    spec.characterize = true;
+    EXPECT_EQ(localPayload(spec), kCharacterizedTinyPayload);
+    startDaemon();
+    ServiceClient client = connect();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().payload, kCharacterizedTinyPayload);
+}
+
 TEST_F(ServiceTest, ResubmissionIsServedFromTheResultStore)
 {
     const SweepJobSpec spec = tinySpec();

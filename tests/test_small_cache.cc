@@ -422,6 +422,39 @@ TEST(SmallCache, LowTagAliasesAreToldApart)
     EXPECT_GT(s.cache.stats().writebacks, 0u);
 }
 
+TEST(SmallCache, ReadNoTrafficTracksAccessOnAReadOnlyCache)
+{
+    // The texture levels' path: the same hits, misses and contents
+    // as access() reads, and no traffic at all, its own misses
+    // included.
+    for (const std::uint32_t ways : {4u, 16u, 48u}) {
+        SmallCache emitting("emitting", 192, ways, false);
+        SmallCache quiet("quiet", 192, ways, false);
+        std::vector<MemAccess> out;
+        std::mt19937_64 rng(ways);
+        for (int i = 0; i < 20000; ++i) {
+            const Addr a = block(rng() % 400);
+            const std::size_t before = out.size();
+            const bool hit = emitting.access(a, false,
+                                             StreamType::Texture, 0, out);
+            EXPECT_EQ(quiet.readNoTraffic(a, StreamType::Texture), hit)
+                << ways << " ways, access " << i;
+            EXPECT_EQ(out.size(), before + (hit ? 0 : 1));
+            if (i == 10000) {
+                std::vector<MemAccess> none;
+                quiet.flush(0, none);
+                EXPECT_TRUE(none.empty());
+                emitting.flush(0, out);
+            }
+        }
+        EXPECT_EQ(quiet.stats().accesses, emitting.stats().accesses);
+        EXPECT_EQ(quiet.stats().hits, emitting.stats().hits);
+        EXPECT_EQ(quiet.stats().writebacks, 0u);
+        EXPECT_GT(quiet.stats().misses(), 0u);
+        EXPECT_GT(quiet.stats().hits, 0u);
+    }
+}
+
 TEST(SmallCacheDeath, MoreThan256WaysIsFatal)
 {
 #ifdef GLLC_DISABLE_ASSERTS

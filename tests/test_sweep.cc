@@ -64,15 +64,9 @@ expectCellsIdentical(const SweepResult &a, const SweepResult &b)
         EXPECT_EQ(sa.writebacks, sb.writebacks) << "cell " << i;
         EXPECT_EQ(sa.evictions, sb.evictions) << "cell " << i;
 
-        const Characterization &cha = ca.result.characterization;
-        const Characterization &chb = cb.result.characterization;
-        EXPECT_EQ(cha.interTexHits, chb.interTexHits);
-        EXPECT_EQ(cha.intraTexHits, chb.intraTexHits);
-        EXPECT_EQ(cha.rtProductions, chb.rtProductions);
-        EXPECT_EQ(cha.rtConsumptions, chb.rtConsumptions);
-        EXPECT_EQ(cha.texEpochHits, chb.texEpochHits);
-        EXPECT_EQ(cha.texReach, chb.texReach);
-        EXPECT_EQ(cha.zReach, chb.zReach);
+        EXPECT_EQ(ca.result.characterization,
+                  cb.result.characterization)
+            << "cell " << i;
 
         EXPECT_EQ(ca.result.fills.counts, cb.result.fills.counts)
             << "cell " << i;
@@ -110,11 +104,15 @@ TEST_F(SweepEnv, SerialAndParallelAreBitIdentical)
     // Random stresses per-replay RNG seeding, Belady the oracle.
     const std::vector<std::string> policies{"DRRIP", "GSPC+UCD",
                                             "Random", "Belady"};
-    const SweepResult serial =
-        SweepConfig().policies(policies).threads(1).run();
+    const SweepResult serial = SweepConfig()
+                                   .policies(policies)
+                                   .characterize(true)
+                                   .threads(1)
+                                   .run();
     for (const unsigned nthreads : {2u, 8u}) {
         const SweepResult parallel = SweepConfig()
                                          .policies(policies)
+                                         .characterize(true)
                                          .threads(nthreads)
                                          .run();
         EXPECT_EQ(parallel.threadsUsed(), nthreads);
@@ -285,6 +283,39 @@ TEST_F(SweepEnv, CsvValuesAreConsistent)
     EXPECT_NE(row.find("," + std::to_string(
                            cell.result.stats.totalAccesses()) + ","),
               std::string::npos);
+}
+
+TEST_F(SweepEnv, UndeclaredCharacterizationIsAbsentNotZero)
+{
+    const SweepResult plain = SweepConfig().policies({"DRRIP"}).run();
+    const SweepResult declared =
+        SweepConfig().policies({"DRRIP"}).characterize(true).run();
+    for (const SweepCell &cell : plain.cells())
+        EXPECT_FALSE(cell.result.characterization.has_value());
+    for (const SweepCell &cell : declared.cells())
+        EXPECT_TRUE(cell.result.characterization.has_value());
+
+    // CSV: the four characterization columns (and the error) are
+    // empty; JSON: their keys are left out.
+    std::ostringstream csv;
+    writeSweepCsv(plain, csv);
+    std::istringstream is(csv.str());
+    std::string header, row;
+    std::getline(is, header);
+    std::getline(is, row);
+    ASSERT_GE(row.size(), 5u);
+    EXPECT_EQ(row.substr(row.size() - 5), ",,,,,");
+
+    std::ostringstream json;
+    writeSweepJson(plain, json);
+    std::ostringstream declared_json;
+    writeSweepJson(declared, declared_json);
+    for (const char *key : {"\"rt_productions\"", "\"rt_consumptions\"",
+                            "\"inter_tex_hits\"", "\"intra_tex_hits\""}) {
+        EXPECT_EQ(json.str().find(key), std::string::npos) << key;
+        EXPECT_NE(declared_json.str().find(key), std::string::npos)
+            << key;
+    }
 }
 
 TEST_F(SweepEnv, JsonExportHasConfigAndOneRecordPerCell)

@@ -257,39 +257,47 @@ TEST_F(SweepFaultEnv, CheckpointedRunMatchesPlainRun)
 
 TEST_F(SweepFaultEnv, ResumeAfterKillIsByteIdentical)
 {
-    const std::string path = tempJournal("resume");
-    const std::string uninterrupted = sweepJson(baseConfig().run());
+    // Both journal shapes: cells with and without a characterization.
+    for (const bool characterize : {false, true}) {
+        SCOPED_TRACE(characterize ? "characterized" : "uncharacterized");
+        const auto config = [characterize] {
+            return std::move(baseConfig().characterize(characterize));
+        };
+        const std::string path = tempJournal("resume");
+        const std::string uninterrupted = sweepJson(config().run());
 
-    // Produce a full journal, then chop it after the first cell to
-    // simulate a mid-run kill (the torn half-line included).
-    sweepJson(baseConfig().checkpoint(path).run());
-    std::vector<std::string> lines;
-    {
-        std::ifstream is(path, std::ios::binary);
-        std::string line;
-        while (std::getline(is, line))
-            lines.push_back(line);
+        // Produce a full journal, then chop it after the first cell to
+        // simulate a mid-run kill (the torn half-line included).
+        sweepJson(config().checkpoint(path).run());
+        std::vector<std::string> lines;
+        {
+            std::ifstream is(path, std::ios::binary);
+            std::string line;
+            while (std::getline(is, line))
+                lines.push_back(line);
+        }
+        ASSERT_GE(lines.size(), 3u);
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os << lines[0] << '\n' << lines[1] << '\n';
+            os << lines[2].substr(0, lines[2].size() / 2);
+        }
+
+        const SweepResult resumed =
+            config().checkpoint(path).resume(true).run();
+        EXPECT_EQ(resumed.restoredCells(), 1u);
+        EXPECT_TRUE(resumed.quarantined().empty());
+        EXPECT_EQ(sweepJson(resumed), uninterrupted);
+
+        // After the resumed run the journal is complete and clean
+        // again: the torn fragment was trimmed, not glued onto.
+        Result<CheckpointContents> journal = loadCheckpoint(path);
+        ASSERT_TRUE(journal.ok()) << journal.error().toString();
+        EXPECT_EQ(journal.value().meta.characterize, characterize);
+        EXPECT_EQ(journal.value().cells.size(), 4u);
+        EXPECT_EQ(journal.value().skippedLines, 0u);
+        std::remove(path.c_str());
     }
-    ASSERT_GE(lines.size(), 3u);
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << lines[0] << '\n' << lines[1] << '\n';
-        os << lines[2].substr(0, lines[2].size() / 2);
-    }
-
-    const SweepResult resumed =
-        baseConfig().checkpoint(path).resume(true).run();
-    EXPECT_EQ(resumed.restoredCells(), 1u);
-    EXPECT_TRUE(resumed.quarantined().empty());
-    EXPECT_EQ(sweepJson(resumed), uninterrupted);
-
-    // After the resumed run the journal is complete and clean
-    // again: the torn fragment was trimmed, not glued onto.
-    Result<CheckpointContents> journal = loadCheckpoint(path);
-    ASSERT_TRUE(journal.ok()) << journal.error().toString();
-    EXPECT_EQ(journal.value().cells.size(), 4u);
-    EXPECT_EQ(journal.value().skippedLines, 0u);
-    std::remove(path.c_str());
 }
 
 TEST_F(SweepFaultEnv, ResumeRestoresPolicyNamedWithJsonSpecials)
@@ -385,4 +393,25 @@ TEST_F(SweepFaultEnv, MismatchedJournalConfigurationIsFatal)
                 ::testing::ExitedWithCode(1),
                 "different sweep configuration");
     std::remove(path.c_str());
+}
+
+TEST_F(SweepFaultEnv, ResumeUnderTheOtherDeclarationIsFatal)
+{
+    // A journal's cells have the shape its declaration gave them;
+    // resuming under the other one would mix the two.
+    for (const bool characterize : {false, true}) {
+        const std::string path = tempJournal("declaration");
+        sweepJson(baseConfig()
+                      .characterize(characterize)
+                      .checkpoint(path)
+                      .run());
+        EXPECT_EXIT(baseConfig()
+                        .characterize(!characterize)
+                        .checkpoint(path)
+                        .resume(true)
+                        .run(),
+                    ::testing::ExitedWithCode(1),
+                    "different sweep configuration");
+        std::remove(path.c_str());
+    }
 }

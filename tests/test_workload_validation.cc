@@ -41,10 +41,10 @@ data()
         for (const AppProfile &app : paperApps()) {
             AppData entry;
             entry.trace = renderFrame(app, 0, scale);
-            entry.belady =
-                runTrace(entry.trace, policySpec("Belady"), llc);
-            entry.drrip =
-                runTrace(entry.trace, policySpec("DRRIP"), llc);
+            entry.belady = runTrace(entry.trace, policySpec("Belady"),
+                                    llc, {.characterize = true});
+            entry.drrip = runTrace(entry.trace, policySpec("DRRIP"),
+                                   llc, {.characterize = true});
             m.emplace(app.name, std::move(entry));
         }
         return m;
@@ -63,7 +63,7 @@ streamShare(const FrameTrace &t, StreamType s)
 double
 consumption(const RunResult &r)
 {
-    return r.characterization.rtConsumptionRate();
+    return r.characterization.value().rtConsumptionRate();
 }
 
 } // namespace
@@ -168,7 +168,7 @@ TEST(WorkloadValidation, BeladyConsumptionBeatsDrripEverywhere)
 TEST(WorkloadValidation, TextureEpochShapeHoldsPerApp)
 {
     for (const auto &[name, d] : data()) {
-        const Characterization &ch = d.belady.characterization;
+        const Characterization &ch = d.belady.characterization.value();
         // E0 dominates intra-stream hits in every title (Figure 7).
         EXPECT_GT(ch.texEpochHits[0], ch.texEpochHits[1]) << name;
         EXPECT_GT(ch.texDeathRatio(0), 0.7) << name;

@@ -4,12 +4,15 @@
  *
  * Usage:
  *   gllc-submit (--socket PATH | --port N | --local)
- *               [--policies A,B,C] [--llc-bytes N]
+ *               [--policies A,B,C] [--llc-bytes N] [--characterize]
  *               [--tenant NAME] [--priority N] [--out PATH]
  *               [--retries N] [--backoff-ms N]
  *   gllc-submit (--socket PATH | --port N) --status
  *
  * --status prints the daemon's status_v2 document (protocol.hh).
+ * --characterize declares the characterization output: every cell
+ * also runs the Characterizer, and the result JSON carries its
+ * rt_productions, rt_consumptions, inter_tex_hits and intra_tex_hits.
  *
  * The job is built exactly the way the bench harnesses build
  * sweeps: frames and scale come from the environment (GLLC_FRAMES,
@@ -121,6 +124,7 @@ main(int argc, char **argv)
     int port = -1;
     bool local = false;
     bool status = false;
+    bool characterize = false;
     std::string tenant = "gllc-submit";
     int priority = 0;
     std::string out_path;
@@ -137,6 +141,10 @@ main(int argc, char **argv)
         }
         if (flag == "--status") {
             status = true;
+            continue;
+        }
+        if (flag == "--characterize") {
+            characterize = true;
             continue;
         }
         if (i + 1 >= argc)
@@ -187,6 +195,7 @@ main(int argc, char **argv)
     const SweepJobSpec spec = SweepConfig()
                                   .policies(policies)
                                   .llcBytes(llc_bytes)
+                                  .characterize(characterize)
                                   .resolve();
 
     if (local) {
